@@ -15,7 +15,7 @@ from . import catalog, matio, search, tables, witness
 from .exact import exact_inertia, exact_is_hermitian, exact_partial_transpose
 from .inertia import Inertia, inertia_of, pt_inertia
 from .linalg import TOL_ZERO
-from .states import State, partial_transpose, pt_array, schmidt
+from .states import ENSEMBLES, State, partial_transpose, pt_array, schmidt
 from .witness import min_product_expectation
 
 ENV_TOL = "PTINERTIA_TOL_ZERO"
@@ -191,8 +191,16 @@ def cmd_replay(args) -> int:
     if not records:
         print("error: results log is empty", file=sys.stderr)
         return 2
+    if not -len(records) <= args.record < len(records):
+        print(f"error: record index {args.record} out of range for "
+              f"{len(records)} record(s)", file=sys.stderr)
+        return 2
     record = records[args.record]
-    state = search.replay(record, args.alarm)
+    try:
+        state = search.replay(record, args.alarm)
+    except IndexError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     got = pt_inertia(state, record.config.tol_zero)
     want = record.alarms[args.alarm].inertia
     print(f"replayed {_fmt(got)} recorded {_fmt(want)}")
@@ -248,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, nargs=2, required=True)
     p.add_argument("--ranks", type=lambda s: [int(x) for x in s.split(",")],
                    default=[2, 3, 4, 5])
-    p.add_argument("--ensemble", choices=["real", "complex", "structured"],
-                   default="real")
+    p.add_argument("--ensemble", choices=ENSEMBLES, default="real")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)

@@ -1,15 +1,24 @@
 """Reproducible randomized search over PT inertias of random states.
 
-Each sample i draws its state from a generator seeded by the strong hash mix
-of (master seed, i) that numpy's SeedSequence performs, so the tally is
-deterministic, independent of chunking and worker count, and any alarming
-sample can be regenerated bit-for-bit from its recorded seed path.
+Seed scheme 2: the samples are cut into aligned blocks of BLOCK indices, and
+block b draws from one generator seeded by numpy's SeedSequence hash of
+(master seed, 2, b).  The samples of a block draw from it in index order, so
+sample i is fixed by the seed, the index and the ranks of the samples before
+it in its block.  Block boundaries depend only on the index, so the tally is
+deterministic and independent of chunking and worker count, and any alarming
+sample can be regenerated bit-for-bit: replay reseeds its block generator and
+skips the normals of the earlier samples in one draw.
+
+Records carry the scheme they were drawn under.  Lines written before the
+field existed are scheme 1, where sample i drew from its own generator
+seeded by (master seed, i); they still replay bit-for-bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -18,9 +27,12 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .linalg import Inertia, TOL_ZERO
-from .states import State, pt_array, random_state
+from .states import ENSEMBLES, State, pt_array, random_state
 
 CHUNK = 2048
+BLOCK = 16  # samples per generator; divides CHUNK, so scan spans start on a block
+SEED_SCHEME = 2  # the scheme run_search draws under
+SEED_SCHEMES = (1, 2)  # the schemes replay can regenerate
 
 
 @dataclass(frozen=True)
@@ -35,6 +47,17 @@ class SearchConfig:
     tol_zero: float = TOL_ZERO
 
     def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise ValueError(f"local dimensions must be >= 1, got ({self.m},{self.n})")
+        if self.ensemble not in ENSEMBLES:
+            raise ValueError(f"unknown ensemble {self.ensemble!r}, "
+                             f"expected one of {', '.join(ENSEMBLES)}")
+        if self.ensemble == "structured" and self.m < 2:
+            raise ValueError("structured ensemble needs m >= 2")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not (math.isfinite(self.tol_zero) and self.tol_zero > 0):
+            raise ValueError(f"tol_zero must be finite and > 0, got {self.tol_zero}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not self.ranks:
@@ -65,7 +88,7 @@ class Alarm(NamedTuple):
     inertia: Inertia
     index: int
     rank: int
-    seed_path: tuple[int, int]
+    seed_path: tuple[int, ...]  # entropy of the generator the sample drew from
 
 
 @dataclass
@@ -76,10 +99,12 @@ class SearchRecord:
     marginal: int
     alarms: list[Alarm]
     wall_time: float = 0.0
+    seed_scheme: int = SEED_SCHEME
 
     def payload(self) -> dict:
         """The worker-count-independent content of the record."""
         return {
+            "seed_scheme": self.seed_scheme,
             "config": self.config.canonical(),
             "config_hash": self.config_hash,
             "counts": [[list(k), v] for k, v in sorted(self.counts.items())],
@@ -97,36 +122,72 @@ class SearchRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "SearchRecord":
-        data = json.loads(line)
-        cfg = SearchConfig(
-            m=data["config"]["m"], n=data["config"]["n"],
-            ranks=tuple(data["config"]["ranks"]),
-            ensemble=data["config"]["ensemble"],
-            samples=data["config"]["samples"], seed=data["config"]["seed"],
-            tol_zero=data["config"]["tol_zero"],
-        )
-        counts = {Inertia(*k): v for k, v in data["counts"]}
-        alarms = [Alarm(Inertia(*a["inertia"]), a["index"], a["rank"],
-                        tuple(a["seed_path"])) for a in data["alarms"]]
-        return cls(config=cfg, config_hash=data["config_hash"], counts=counts,
-                   marginal=data["marginal"], alarms=alarms)
+        """Parse one log line; malformed content raises ValueError.
+
+        A line without "seed_scheme" was written under scheme 1.
+        """
+        try:
+            data = json.loads(line)
+            conf = data["config"]
+            cfg = SearchConfig(
+                m=conf["m"], n=conf["n"], ranks=tuple(conf["ranks"]),
+                ensemble=conf["ensemble"], samples=conf["samples"],
+                seed=conf["seed"], tol_zero=conf["tol_zero"],
+            )
+            if not isinstance(data["counts"], list) or not isinstance(data["alarms"], list):
+                raise ValueError("counts and alarms must be lists")
+            counts = {Inertia(*k): v for k, v in data["counts"]}
+            alarms = [Alarm(Inertia(*a["inertia"]), a["index"], a["rank"],
+                            tuple(a["seed_path"])) for a in data["alarms"]]
+            scheme = data.get("seed_scheme", 1)
+            record = cls(config=cfg, config_hash=data["config_hash"], counts=counts,
+                         marginal=data["marginal"], alarms=alarms, seed_scheme=scheme)
+        except KeyError as exc:
+            raise ValueError(f"search record lacks key {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed search record: {exc}") from exc
+        if type(scheme) is not int or scheme not in SEED_SCHEMES:
+            raise ValueError(f"unknown seed_scheme {scheme!r}")
+        return record
+
+
+def _seed_path(seed: int, index: int) -> tuple[int, int, int]:
+    """Entropy of the scheme-2 generator that sample `index` draws from."""
+    return (seed, SEED_SCHEME, index // BLOCK)
+
+
+def _block_generator(cfg: SearchConfig, seed_path, index: int) -> np.random.Generator:
+    """The block generator of sample `index`, advanced to that sample.
+
+    The earlier samples of the block drew d * rank normals each, twice that
+    for the complex ensemble.  A Generator keeps no state between normal
+    draws, so one draw of their total skips them exactly.
+    """
+    rng = np.random.default_rng(seed_path)
+    earlier = sum(cfg.rank_for(j) for j in range(index - index % BLOCK, index))
+    if earlier:
+        per_entry = 2 if cfg.ensemble == "complex" else 1
+        rng.standard_normal(earlier * cfg.m * cfg.n * per_entry)
+    return rng
 
 
 def _scan_range(cfg: SearchConfig, start: int, stop: int,
                 alarm_set: frozenset[Inertia]):
     """Tally one contiguous index range; batched eigensolves per chunk."""
     d = cfg.m * cfg.n
+    complex_mode = cfg.ensemble == "complex"
     counts: dict[Inertia, int] = {}
     marginal = 0
     alarms: list[Alarm] = []
     lo = start
     while lo < stop:
         hi = min(lo + CHUNK, stop)
-        complex_mode = cfg.ensemble == "complex"
         gammas = np.empty((hi - lo, d, d), dtype=complex if complex_mode else float)
         for idx in range(lo, hi):
+            if idx % BLOCK == 0 or idx == start:
+                rng = _block_generator(cfg, _seed_path(cfg.seed, idx), idx)
             state = random_state(cfg.m, cfg.n, cfg.rank_for(idx), cfg.ensemble,
-                                 seed=(cfg.seed, idx))
+                                 seed=rng)
             gamma = pt_array(state.mat, cfg.m, cfg.n)
             gammas[idx - lo] = gamma if complex_mode else gamma.real
         vals = np.linalg.eigvalsh(gammas)
@@ -140,17 +201,23 @@ def _scan_range(cfg: SearchConfig, start: int, stop: int,
         neg_lo, pos_lo = tally(cfg.tol_zero / 10)
         neg_hi, pos_hi = tally(cfg.tol_zero * 10)
         is_marginal = (neg != neg_lo) | (pos != pos_lo) | (neg != neg_hi) | (pos != pos_hi)
-        for off in range(hi - lo):
-            if is_marginal[off]:
-                marginal += 1
-                continue
-            triple = Inertia(int(neg[off]), d - int(neg[off]) - int(pos[off]),
-                             int(pos[off]))
-            counts[triple] = counts.get(triple, 0) + 1
+        marginal += int(is_marginal.sum())
+        # Python runs once per distinct triple and once per alarm, not per sample
+        codes = neg * (d + 1) + pos
+        values, tallies = np.unique(codes[~is_marginal], return_counts=True)
+        alarm_triples: dict[int, Inertia] = {}
+        for code, count in zip(values.tolist(), tallies.tolist()):
+            n_neg, n_pos = divmod(code, d + 1)
+            triple = Inertia(n_neg, d - n_neg - n_pos, n_pos)
+            counts[triple] = counts.get(triple, 0) + count
             if triple in alarm_set:
+                alarm_triples[code] = triple
+        if alarm_triples:
+            hits = ~is_marginal & np.isin(codes, list(alarm_triples))
+            for off in np.flatnonzero(hits).tolist():
                 idx = lo + off
-                alarms.append(Alarm(triple, idx, cfg.rank_for(idx),
-                                    (cfg.seed, idx)))
+                alarms.append(Alarm(alarm_triples[int(codes[off])], idx,
+                                    cfg.rank_for(idx), _seed_path(cfg.seed, idx)))
         lo = hi
     return counts, marginal, alarms
 
@@ -200,8 +267,14 @@ def replay(record: SearchRecord, alarm_index: int) -> State:
         raise IndexError(f"alarm index {alarm_index} out of range "
                          f"[0, {len(record.alarms)})")
     alarm = record.alarms[alarm_index]
-    return random_state(record.config.m, record.config.n, alarm.rank,
-                        record.config.ensemble, seed=alarm.seed_path)
+    cfg = record.config
+    if record.seed_scheme == 1:
+        seed = alarm.seed_path
+    elif record.seed_scheme == 2:
+        seed = _block_generator(cfg, alarm.seed_path, alarm.index)
+    else:
+        raise ValueError(f"unknown seed_scheme {record.seed_scheme!r}")
+    return random_state(cfg.m, cfg.n, alarm.rank, cfg.ensemble, seed=seed)
 
 
 def append_record(path, record: SearchRecord) -> None:
@@ -212,8 +285,11 @@ def append_record(path, record: SearchRecord) -> None:
 def load_records(path) -> list[SearchRecord]:
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(SearchRecord.from_json_line(line))
+                try:
+                    out.append(SearchRecord.from_json_line(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from exc
     return out

@@ -16,6 +16,7 @@ import numpy as np
 from .linalg import TOL_ZERO, max_abs, require_hermitian, require_invertible
 
 SCHMIDT_TOL = 1e-10
+ENSEMBLES = ("real", "complex", "structured")
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,9 @@ def random_state(m: int, n: int, rank: int,
     The "structured" ensemble zeroes the A=0 block of R, so the resulting
     state is unsupported on that row and every |0,y> lies in the kernel of
     the partial transpose.  `seed` may be an int or a tuple fed to numpy's
-    SeedSequence, which makes disjoint per-sample streams trivial.
+    SeedSequence, which makes disjoint per-sample streams trivial, or a
+    numpy Generator, which is drawn from in sequence: consecutive calls on
+    one Generator give consecutive states of its stream.
     """
     d = m * n
     if not 1 <= rank <= d:

@@ -1,4 +1,7 @@
+import json
+
 import numpy as np
+import pytest
 
 from ptinertia import build, build_exact, matio, partial_transpose
 from ptinertia.cli import main
@@ -148,3 +151,49 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "inertia")[0] == 2  # missing --file
     assert run(capsys, "inertia", "--file", "/nonexistent/m.txt")[0] == 2
+
+
+@pytest.fixture
+def search_logs(tmp_path, capsys):
+    """A log with one alarming record, a tampered copy and a malformed one."""
+    log = tmp_path / "runs.log"
+    code, out, _ = run(capsys, "search", "--dims", "3", "3", "--ranks", "3",
+                       "--samples", "200", "--seed", "17", "--alarm",
+                       "(3,0,6);(2,0,7)", "--log", str(log))
+    assert code == 0 and "alarms 0" not in out
+    data = json.loads(log.read_text())
+    data["alarms"][0]["inertia"] = [0, 0, 9]
+    (tmp_path / "tampered.log").write_text(json.dumps(data) + "\n")
+    data["counts"] = 5
+    (tmp_path / "malformed.log").write_text(json.dumps(data) + "\n")
+    (tmp_path / "empty.log").write_text("")
+    return tmp_path
+
+
+SEARCH = ["search", "--dims", "3", "3", "--ranks", "2,3", "--samples", "50"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (SEARCH, 0),
+    (SEARCH + ["--tol", "-1"], 2),
+    (SEARCH + ["--tol", "nan"], 2),
+    (SEARCH + ["--workers", "0"], 2),
+    (SEARCH + ["--ensemble", "gaussian"], 2),
+    (["search", "--dims", "1", "3", "--ranks", "2", "--ensemble", "structured"], 2),
+    (["replay", "--log", "{dir}/runs.log"], 0),
+    (["replay", "--log", "{dir}/runs.log", "--record", "0", "--alarm", "0"], 0),
+    (["replay", "--log", "{dir}/tampered.log"], 1),
+    (["replay", "--log", "{dir}/runs.log", "--alarm", "999"], 2),
+    (["replay", "--log", "{dir}/runs.log", "--alarm", "-1"], 2),
+    (["replay", "--log", "{dir}/runs.log", "--record", "1"], 2),
+    (["replay", "--log", "{dir}/runs.log", "--record", "-2"], 2),
+    (["replay", "--log", "{dir}/malformed.log"], 2),
+    (["replay", "--log", "{dir}/empty.log"], 2),
+    (["replay", "--log", "{dir}/missing.log"], 2),
+])
+def test_search_and_replay_exit_codes(search_logs, capsys, argv, expected):
+    code, _, err = run(capsys, *(a.format(dir=search_logs) for a in argv))
+    assert code == expected
+    if expected == 2 and "gaussian" not in argv:  # argparse prints its own usage
+        # one line of diagnosis, never a traceback
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -1,8 +1,13 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from ptinertia import (Inertia, SearchConfig, pt_inertia, replay, run_search)
-from ptinertia.search import SearchRecord, append_record, load_records
+from ptinertia import (Inertia, SearchConfig, pt_inertia, random_state, replay,
+                       run_search)
+from ptinertia.search import (BLOCK, Alarm, SearchRecord, _scan_range,
+                              append_record, load_records)
 
 THIRTEEN = {
     (1, 0, 8), (1, 1, 7), (1, 2, 6), (1, 3, 5), (1, 4, 4), (1, 5, 3),
@@ -106,3 +111,111 @@ def test_config_validation():
         SearchConfig(m=3, n=3, ranks=(10,), samples=10, seed=0)
     with pytest.raises(ValueError):
         SearchConfig(m=3, n=3, ranks=(3,), samples=0, seed=0)
+
+
+ENSEMBLES = ("real", "complex", "structured")
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_scan_split_mid_block_merges_to_the_whole_range(ensemble):
+    # 37 is not a multiple of BLOCK: the second range starts mid-block and
+    # must skip the normals its block's earlier samples drew
+    assert 37 % BLOCK
+    cfg = SearchConfig(m=3, n=3, ranks=(2, 3, 4, 5), ensemble=ensemble,
+                       samples=100, seed=3)
+    alarm_set = frozenset(_scan_range(cfg, 0, 100, frozenset())[0])
+    counts, marginal, alarms = _scan_range(cfg, 0, 100, alarm_set)
+    head = _scan_range(cfg, 0, 37, alarm_set)
+    tail = _scan_range(cfg, 37, 100, alarm_set)
+    assert dict(Counter(head[0]) + Counter(tail[0])) == counts
+    assert head[1] + tail[1] == marginal
+    assert head[2] + tail[2] == alarms
+    assert len(alarms) == 100 - marginal
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_replay_matches_drawing_each_block_in_sequence(ensemble):
+    cfg = SearchConfig(m=3, n=3, ranks=(2, 3, 4, 5), ensemble=ensemble,
+                       samples=3 * BLOCK, seed=11)
+    # a record alarming on every index of three blocks
+    alarms = [Alarm(Inertia(0, 0, 9), i, cfg.rank_for(i), (cfg.seed, 2, i // BLOCK))
+              for i in range(cfg.samples)]
+    rec = SearchRecord(config=cfg, config_hash=cfg.digest(), counts={},
+                       marginal=cfg.samples, alarms=alarms)
+    for block in range(3):
+        rng = np.random.default_rng((cfg.seed, 2, block))
+        for i in range(block * BLOCK, (block + 1) * BLOCK):
+            want = random_state(cfg.m, cfg.n, cfg.rank_for(i), ensemble, seed=rng)
+            assert np.array_equal(replay(rec, i).mat, want.mat)
+    # run_search records the same seed paths
+    every_triple = [Inertia(a, 9 - a - b, b) for a in range(10) for b in range(10 - a)]
+    run = run_search(cfg, every_triple)
+    assert run.seed_scheme == 2 and run.payload()["seed_scheme"] == 2
+    assert run.alarms
+    assert all(a.seed_path == alarms[a.index].seed_path for a in run.alarms)
+
+
+def test_scheme_1_line_replays_its_per_sample_generator():
+    cfg = SearchConfig(m=3, n=3, ranks=(2, 3), ensemble="complex", samples=100, seed=7)
+    line = json.dumps({
+        "config": {"m": 3, "n": 3, "ranks": [2, 3], "ensemble": "complex",
+                   "samples": 100, "seed": 7, "tol_zero": 1e-9},
+        "config_hash": cfg.digest(),
+        "counts": [[[3, 0, 6], 1]],
+        "marginal": 99,
+        "alarms": [{"inertia": [3, 0, 6], "index": 42, "rank": 2, "seed_path": [7, 42]}],
+    })
+    rec = SearchRecord.from_json_line(line)
+    assert rec.seed_scheme == 1
+    want = random_state(3, 3, 2, "complex", seed=(7, 42))
+    assert np.array_equal(replay(rec, 0).mat, want.mat)
+    # the scheme survives a round trip, and an unknown one cannot replay
+    assert SearchRecord.from_json_line(rec.to_json_line()).seed_scheme == 1
+    rec.seed_scheme = 3
+    with pytest.raises(ValueError, match="seed_scheme"):
+        replay(rec, 0)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(tol_zero=0.0), dict(tol_zero=-1e-9), dict(tol_zero=float("nan")),
+    dict(tol_zero=float("inf")), dict(workers=0), dict(ensemble="gaussian"),
+    dict(m=1, ensemble="structured"),
+])
+def test_config_rejects_invalid_settings(bad):
+    kwargs = dict(m=3, n=3, ranks=(2,), samples=10, seed=0) | bad
+    with pytest.raises(ValueError):
+        SearchConfig(**kwargs)
+
+
+def _good_line():
+    cfg = SearchConfig(m=2, n=2, ranks=(2,), samples=20, seed=1)
+    return run_search(cfg).to_json_line()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ('{"config": ', "line 2"),
+    ({"config": None}, "malformed"),
+    ({"counts": 5}, "must be lists"),
+    ({"counts": [[1, 2]]}, "malformed"),
+    ({"seed_scheme": 3}, "seed_scheme"),
+    ({"seed_scheme": True}, "seed_scheme"),
+])
+def test_malformed_log_line_names_its_line(tmp_path, edit, message):
+    good = _good_line()
+    if isinstance(edit, dict):
+        data = json.loads(good) | edit
+        bad = json.dumps(data)
+    else:
+        bad = edit
+    log = tmp_path / "runs.log"
+    log.write_text(good + "\n" + bad + "\n")
+    with pytest.raises(ValueError, match=message) as info:
+        load_records(log)
+    assert "line 2" in str(info.value)
+
+
+def test_log_line_missing_a_key_is_rejected():
+    data = json.loads(_good_line())
+    del data["marginal"]
+    with pytest.raises(ValueError, match="lacks key 'marginal'"):
+        SearchRecord.from_json_line(json.dumps(data))
