@@ -13,7 +13,7 @@ from .states import (SchmidtDecomposition, State, apply_slocc, dm_from_kets,
                      pt_array, random_state, schmidt, validate_state)
 from .inertia import (classify_ppt, embed, inertia_of, negativity, pt_inertia,
                       pure_inertia, rank_one_update_check, shift_identity)
-from .exact import GaussianRational, exact_inertia, exact_partial_transpose
+from .exact import GaussianRational, exact_inertia
 from .catalog import (build, build_exact, chain_seed, entry_ids,
                       ex11_closed_form, lemma3n_family, verify, verify_all)
 from .tables import inertia_table, table1_report
@@ -25,9 +25,9 @@ __all__ = [
     "SearchConfig", "SearchRecord", "State", "TOL_ZERO", "Witness",
     "apply_slocc", "build", "build_exact", "chain_seed", "classify_ppt",
     "compress", "congruence", "dm_from_kets", "embed", "entry_ids",
-    "ex11_closed_form", "exact_inertia", "exact_partial_transpose",
-    "herm_eig", "inertia_of", "inertia_table", "is_witness", "ket_vector",
-    "lemma3n_family", "local_ranks", "min_product_expectation", "negativity",
+    "ex11_closed_form", "exact_inertia", "herm_eig", "inertia_of",
+    "inertia_table", "is_witness", "ket_vector", "lemma3n_family",
+    "local_ranks", "min_product_expectation", "negativity",
     "partial_transpose", "pencil_rank1", "pt_array", "pt_inertia",
     "pure_inertia", "random_state", "rank_one_update_check", "replay",
     "run_search", "schmidt", "shift_identity", "spectrum_inertia",

@@ -2,6 +2,8 @@
 
 Every entry is a weighted ket mixture, so each family can be rebuilt both in
 floating point and (for rational data) in exact Gaussian-rational arithmetic.
+Both builds share one ket loop; the exact one is an ExactMatrix, whose PT is
+the same states.pt_array the float route takes.
 verify() recomputes the inertia through both routes and compares against the
 entry's expected rule; a handful of families whose conventional printed forms
 do not reproduce their advertised inertia are realized through verified
@@ -16,11 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import (ExactMatrix, GaussianRational, exact_dm, exact_inertia,
-                    exact_partial_transpose)
+from .exact import ExactMatrix, GaussianRational, exact_inertia
 from .inertia import Inertia, pt_inertia
 from .linalg import TOL_ZERO
-from .states import State, dm_from_kets, ket_vector
+from .states import State, dm_from_kets, ket_vector, pt_array
 
 Terms = list[tuple[object, list[tuple[object, int, int]]]]
 
@@ -414,37 +415,42 @@ def _merge_params(entry: CatalogEntry, overrides: dict) -> dict:
     return params
 
 
+def _weighted_kets(entry: CatalogEntry, params: dict, scalar) -> list[tuple[object, np.ndarray]]:
+    """The family's (weight, ket) pairs with every number passed through `scalar`."""
+    m, n = entry.dims
+    pairs = []
+    for weight, terms in entry.terms(params):
+        ket = np.array([scalar(0)] * (m * n))
+        for coef, i, j in terms:
+            if not (0 <= i < m and 0 <= j < n):
+                raise ValueError(f"ket index ({i},{j}) out of range for dims ({m},{n})")
+            ket[i * n + j] += scalar(coef)
+        pairs.append((scalar(weight), ket))
+    return pairs
+
+
 def build(entry_id: str, **overrides) -> State:
     """Instantiate a catalog family as a float State."""
     entry = get_entry(entry_id)
-    params = _merge_params(entry, overrides)
-    m, n = entry.dims
-    kets, weights = [], []
-    for weight, terms in entry.terms(params):
-        weights.append(float(np.real(complex(weight))))
-        kets.append(ket_vector(m, n, [(complex(c), i, j) for c, i, j in terms]))
-    return dm_from_kets(kets, weights, m, n)
+    pairs = _weighted_kets(entry, _merge_params(entry, overrides), complex)
+    return dm_from_kets([ket for _, ket in pairs], [w.real for w, _ in pairs],
+                        *entry.dims)
 
 
 def build_exact(entry_id: str, **overrides) -> ExactMatrix | None:
-    """Exact Gaussian-rational build, or None when parameters are irrational."""
+    """Exact Gaussian-rational build, or None when parameters are irrational.
+
+    ``.astype(complex)`` equals build(...).mat where float arithmetic is exact.
+    """
     entry = get_entry(entry_id)
     params = _merge_params(entry, overrides)
-    m, n = entry.dims
-    d = m * n
-    pairs = []
     try:
-        for weight, terms in entry.terms(params):
-            w = GaussianRational.coerce(weight)
-            if w.im != 0 or w.re <= 0:
-                raise TypeError("weights must be positive rationals")
-            ket = [GaussianRational() for _ in range(d)]
-            for coef, i, j in terms:
-                ket[i * n + j] = ket[i * n + j] + GaussianRational.coerce(coef)
-            pairs.append((w.re, ket))
+        pairs = _weighted_kets(entry, params, GaussianRational.coerce)
     except TypeError:
         return None
-    return exact_dm(pairs, d)
+    if any(w.im != 0 or w.re <= 0 for w, _ in pairs):
+        return None  # weights must be positive rationals
+    return sum(np.outer(ket, np.conj(ket)) * w.re for w, ket in pairs)
 
 
 def expected_inertia(entry_id: str, **overrides) -> Inertia:
@@ -463,8 +469,7 @@ def verify(entry_id: str, tol_zero: float = TOL_ZERO, **overrides) -> VerifyResu
     exact_mat = build_exact(entry_id, **overrides)
     got_exact = None
     if exact_mat is not None:
-        gamma = exact_partial_transpose(exact_mat, entry.dims[0], entry.dims[1])
-        got_exact = exact_inertia(gamma)
+        got_exact = exact_inertia(pt_array(exact_mat, *entry.dims))
     return VerifyResult(entry_id=entry_id, params=params, expected=expected,
                         float_inertia=got, marginal=marginal,
                         exact_inertia=got_exact)

@@ -12,9 +12,9 @@ import os
 import sys
 
 from . import catalog, matio, search, tables, witness
-from .exact import exact_inertia, exact_is_hermitian, exact_partial_transpose
+from .exact import exact_inertia, exact_is_hermitian
 from .inertia import Inertia, inertia_of, pt_inertia
-from .linalg import TOL_ZERO
+from .linalg import TOL_ZERO, check_tol_zero
 from .states import ENSEMBLES, State, partial_transpose, pt_array, schmidt
 from .witness import min_product_expectation
 
@@ -26,12 +26,9 @@ def default_tol() -> float:
     if raw is None:
         return TOL_ZERO
     try:
-        value = float(raw)
+        return check_tol_zero(float(raw))
     except ValueError:
-        raise SystemExit(f"invalid {ENV_TOL}={raw!r}")
-    if value <= 0:
-        raise SystemExit(f"{ENV_TOL} must be positive")
-    return value
+        raise ValueError(f"invalid {ENV_TOL}={raw!r}: must be a finite number > 0") from None
 
 
 def _fmt(triple: Inertia) -> str:
@@ -78,7 +75,7 @@ def cmd_pt(args) -> int:
               file=sys.stderr)
         return 2
     gamma = pt_array(mf.mat, mf.m, mf.n)
-    exact = exact_partial_transpose(mf.exact, mf.m, mf.n) if mf.exact else None
+    exact = pt_array(mf.exact, mf.m, mf.n) if mf.exact is not None else None
     text = matio.dumps_matrix(gamma, mf.m, mf.n, exact)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -281,9 +278,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if hasattr(args, "tol") and args.tol is None:
-        args.tol = default_tol()
     try:
+        if hasattr(args, "tol"):
+            args.tol = default_tol() if args.tol is None else check_tol_zero(args.tol)
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,12 +5,16 @@ elimination with 1x1 and 2x2 diagonal pivoting: every congruence step is
 performed over the rationals, so the resulting triple carries no floating
 point uncertainty.  This is the certification path backing the float
 eigenvalue route.
+
+An exact matrix (ExactMatrix) is a numpy ``dtype=object`` array of
+GaussianRational, so numpy's own operations serve it: states.pt_array is its
+partial transpose, np.outer/np.conj build projectors, ``.astype(complex)`` is
+its float view.  No zero band is needed here; the float one is linalg.zero_band.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -104,77 +108,30 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}j"
 
 
-ExactMatrix = list[list[GaussianRational]]
+# A square numpy array of dtype=object holding GaussianRational entries.
+ExactMatrix = np.ndarray
 
 
-def exact_zeros(dim: int) -> ExactMatrix:
-    return [[GaussianRational() for _ in range(dim)] for _ in range(dim)]
-
-
-def exact_eye(dim: int, scale: RationalLike = 1) -> ExactMatrix:
-    out = exact_zeros(dim)
-    for i in range(dim):
-        out[i][i] = GaussianRational(scale)
-    return out
-
-
-def exact_add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def exact_scale(c, a: ExactMatrix) -> ExactMatrix:
-    c = GaussianRational.coerce(c)
-    return [[c * x for x in row] for row in a]
-
-
-def exact_outer(ket: Sequence[GaussianRational]) -> ExactMatrix:
-    """Rank-one projector |k><k| over Q(i)."""
-    return [[x * y.conjugate() for y in ket] for x in ket]
-
-
-def exact_dm(kets_with_weights: Iterable[tuple[RationalLike, Sequence[GaussianRational]]],
-             dim: int) -> ExactMatrix:
-    out = exact_zeros(dim)
-    for weight, ket in kets_with_weights:
-        out = exact_add(out, exact_scale(weight, exact_outer(ket)))
-    return out
-
-
-def exact_partial_transpose(mat: ExactMatrix, m: int, n: int) -> ExactMatrix:
-    d = m * n
-    if len(mat) != d:
-        raise ValueError(f"matrix dimension {len(mat)} does not equal m*n={d}")
-    out = exact_zeros(d)
-    for bigi in range(d):
-        i, k = divmod(bigi, n)
-        for bigj in range(d):
-            j, l = divmod(bigj, n)
-            out[bigi][bigj] = mat[j * n + k][i * n + l]
-    return out
-
-
-def exact_is_hermitian(mat: ExactMatrix) -> bool:
+def exact_is_hermitian(mat) -> bool:
     d = len(mat)
     return all(mat[i][j] == mat[j][i].conjugate() for i in range(d) for j in range(i, d))
 
 
-def to_complex(mat: ExactMatrix) -> np.ndarray:
-    return np.array([[complex(x) for x in row] for row in mat], dtype=complex)
-
-
-def exact_inertia(mat: ExactMatrix) -> Inertia:
+def exact_inertia(mat) -> Inertia:
     """Signature of an exactly Hermitian matrix over Q(i).
 
-    Symmetric Gaussian elimination with diagonal pivoting: a nonzero diagonal
-    entry gives a 1x1 pivot contributing its sign; if the whole active
-    diagonal vanishes but an off-diagonal entry a survives, the 2x2 block
-    [[0, a], [a*, 0]] is indefinite and contributes one positive and one
-    negative count.  Each step is a congruence, so Sylvester's law makes the
-    tally exact.
+    `mat` is an ExactMatrix or nested lists of GaussianRational, int or
+    Fraction entries.  Symmetric Gaussian elimination with diagonal
+    pivoting: a nonzero diagonal entry gives a 1x1 pivot contributing its
+    sign; if the whole active diagonal vanishes but an off-diagonal entry a
+    survives, the 2x2 block [[0, a], [a*, 0]] is indefinite and contributes
+    one positive and one negative count.  Each step is a congruence, so
+    Sylvester's law makes the tally exact.
     """
-    if not exact_is_hermitian(mat):
+    # the elimination works on a private list-of-lists copy
+    a = [[GaussianRational.coerce(x) for x in row] for row in mat]
+    if any(len(row) != len(a) for row in a) or not exact_is_hermitian(a):
         raise ValueError("exact_inertia requires an exactly Hermitian matrix")
-    a = [row[:] for row in mat]
     active = list(range(len(a)))
     neg = pos = 0
 
@@ -230,4 +187,4 @@ def exact_inertia(mat: ExactMatrix) -> Inertia:
                 )
                 a[i][j] = a[i][j] - corr
 
-    return Inertia(neg, len(mat) - neg - pos, pos)
+    return Inertia(neg, len(a) - neg - pos, pos)

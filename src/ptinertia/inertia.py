@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Inertia, TOL_ZERO, herm_eig, spectrum_inertia
+from .linalg import Inertia, TOL_ZERO, herm_eig, spectrum_inertia, zero_band
 from .states import State, partial_transpose
 
 
@@ -15,7 +15,7 @@ def inertia_of(mat: np.ndarray, tol_zero: float = TOL_ZERO, *,
     """Inertia triple of a Hermitian matrix.
 
     Eigenvalues below -tau, within [-tau, tau], above tau are counted as
-    negative, zero, positive, with tau = tol_zero * max(1, max|lambda|).
+    negative, zero, positive, with tau the zero band of linalg.zero_band.
     With ``with_flag=True`` also returns the marginal-spectrum flag raised
     when any eigenvalue sits close enough to tau to make the classification
     tolerance-sensitive.
@@ -34,8 +34,7 @@ def negativity(state: State, tol_zero: float = TOL_ZERO) -> float:
     """Sum of |lambda| over negative eigenvalues of the PT, at unit trace."""
     gamma = partial_transpose(state.normalized())
     vals = herm_eig(gamma).values
-    tau = tol_zero * max(1.0, float(np.abs(vals).max()))
-    return float(-vals[vals < -tau].sum())
+    return float(-vals[vals < -zero_band(vals, tol_zero)].sum())
 
 
 class PptVerdict(NamedTuple):
@@ -65,8 +64,7 @@ def shift_identity(state: State, tol_zero: float = TOL_ZERO) -> tuple[State, flo
     and NPT.
     """
     vals = herm_eig(partial_transpose(state)).values
-    tau = tol_zero * max(1.0, float(np.abs(vals).max()))
-    negs = vals[vals < -tau]
+    negs = vals[vals < -zero_band(vals, tol_zero)]
     if negs.size == 0:
         raise ValueError("shift_identity requires an NPT state (no negative PT eigenvalue)")
     x = 0.5 * float(np.abs(negs).min())
@@ -104,9 +102,8 @@ def embed(state: State, m2: int, n2: int, lift: int, *,
         raise ValueError(f"lift must be in [0, {extra}], got {lift}")
 
     vals = herm_eig(partial_transpose(state)).values
-    tau = tol_zero * max(1.0, float(np.abs(vals).max()))
     (a, b, c), _ = spectrum_inertia(vals, tol_zero)
-    nonzero = np.abs(vals)[np.abs(vals) > tau]
+    nonzero = np.abs(vals)[np.abs(vals) > zero_band(vals, tol_zero)]
     if nonzero.size == 0:
         raise ValueError("cannot embed a state whose PT is identically zero")
     eps0 = 1e-3 * float(nonzero.min())
@@ -169,7 +166,7 @@ def rank_one_update_check(state: State, a_vec: np.ndarray, b_vec: np.ndarray,
     gamma = partial_transpose(state)
     dec = herm_eig(gamma)
     d = gamma.shape[0]
-    tau = tol_zero * max(1.0, float(np.abs(dec.values).max()))
+    tau = zero_band(dec.values, tol_zero)
     rank_p = int((dec.values > tau).sum())
     rank_q = int((dec.values < -tau).sum())
 

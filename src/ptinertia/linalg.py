@@ -2,10 +2,13 @@
 
 Everything here works on plain complex numpy arrays.  Matrices are small
 (dimension a few tens at most), so robustness and validation win over speed.
+The zero-band rule is written once, in zero_band; every caller that sorts
+eigenvalues into zero and nonzero asks it or spectrum_inertia.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -108,24 +111,46 @@ def congruence(mat: np.ndarray, s: np.ndarray, tol: float = 1e-12) -> np.ndarray
     return 0.5 * (out + out.conj().T)
 
 
+def check_tol_zero(tol_zero: float) -> float:
+    """Return tol_zero if it is a finite positive number, else raise ValueError."""
+    if not (math.isfinite(tol_zero) and tol_zero > 0):
+        raise ValueError(f"tol_zero must be finite and > 0, got {tol_zero}")
+    return tol_zero
+
+
+def zero_band(values: np.ndarray, tol_zero: float = TOL_ZERO):
+    """Half-width of the zero band of a spectrum: tol_zero * max(1, max|lambda|).
+
+    For a (..., d) stack of spectra the band is taken per spectrum over the
+    last axis and returned as an array over the leading axes.
+    """
+    check_tol_zero(tol_zero)
+    return tol_zero * np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
+
+
 def spectrum_inertia(values: np.ndarray, tol_zero: float = TOL_ZERO) -> tuple[Inertia, bool]:
     """Classify eigenvalues into (negative, zero, positive) counts.
 
-    The zero band is |lambda| <= tol_zero * max(1, max|lambda|).  The result
-    is flagged marginal when reclassifying at tol_zero/10 and 10*tol_zero
-    would change any count, i.e. when some eigenvalue sits near the band edge.
+    Eigenvalues inside the zero band (see zero_band) count as zero.  The
+    result is flagged marginal when reclassifying at tol_zero/10 and
+    10*tol_zero would change any count, i.e. when some eigenvalue sits near
+    the band edge.  A 1-D spectrum gives an Inertia of ints and a bool; a
+    (..., d) stack gives integer and boolean arrays over its leading axes.
     """
     values = np.asarray(values, dtype=float)
-    if tol_zero <= 0:
-        raise ValueError("tol_zero must be positive")
-    scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
+    check_tol_zero(tol_zero)
+    # the band is linear in the tolerance, and 1.0 * x is exact, so tol * unit
+    # is bit for bit zero_band(values, tol)
+    unit = zero_band(values, 1.0)[..., None]
 
     def counts(tol):
-        t = tol * scale
-        neg = int((values < -t).sum())
-        pos = int((values > t).sum())
-        return Inertia(neg, values.size - neg - pos, pos)
+        t = tol * unit
+        return (values < -t).sum(axis=-1), (values > t).sum(axis=-1)
 
-    ine = counts(tol_zero)
-    marginal = counts(tol_zero / 10) != ine or counts(tol_zero * 10) != ine
+    (neg, pos), (neg_lo, pos_lo), (neg_hi, pos_hi) = (
+        counts(tol_zero), counts(tol_zero / 10), counts(tol_zero * 10))
+    marginal = (neg_lo != neg) | (pos_lo != pos) | (neg_hi != neg) | (pos_hi != pos)
+    ine = Inertia(neg, values.shape[-1] - neg - pos, pos)
+    if values.ndim == 1:
+        return Inertia(*map(int, ine)), bool(marginal)
     return ine, marginal

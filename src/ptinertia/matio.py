@@ -4,12 +4,15 @@ Matrix file format: one header line ``dim m n`` (three integers, with
 ``m*n == dim``; ``m = n = 0`` marks a matrix without bipartite structure),
 followed by ``dim`` rows of ``dim`` whitespace-separated entries.  An entry is
 either a decimal complex token ``re+imj`` or an exact rational token
-``p/q+r/sj``.  Files whose every entry is rational can be routed to the exact
-inertia path.
+``p/q+r/sj``; ``nan`` and ``inf`` entries are rejected.  Files whose every
+entry is rational also carry an exact view, an ExactMatrix (object array of
+GaussianRational), for the exact inertia path; dumps_matrix also takes
+nested lists for it.
 """
 
 from __future__ import annotations
 
+import cmath
 import io
 import re
 from dataclasses import dataclass
@@ -90,16 +93,18 @@ def loads_matrix(text: str) -> MatrixFile:
     if len(lines) - 1 != dim:
         raise ValueError(f"expected {dim} matrix rows, found {len(lines) - 1}")
     mat = np.zeros((dim, dim), dtype=complex)
-    exact: ExactMatrix | None = [[GaussianRational() for _ in range(dim)] for _ in range(dim)]
+    exact: ExactMatrix | None = np.empty((dim, dim), dtype=object)
     for i, line in enumerate(lines[1:]):
         tokens = line.split()
         if len(tokens) != dim:
             raise ValueError(f"row {i} has {len(tokens)} entries, expected {dim}")
         for j, tok in enumerate(tokens):
             value, g = parse_entry(tok)
+            if not cmath.isfinite(value):
+                raise ValueError(f"row {i}, column {j}: non-finite entry {tok!r}")
             mat[i, j] = value
             if exact is not None and g is not None:
-                exact[i][j] = g
+                exact[i, j] = g
             else:
                 exact = None
     return MatrixFile(mat=mat, m=m, n=n, exact=exact)
@@ -110,8 +115,7 @@ def load_matrix(path) -> MatrixFile:
         return loads_matrix(fh.read())
 
 
-def dumps_matrix(mat: np.ndarray, m: int = 0, n: int = 0,
-                 exact: ExactMatrix | None = None) -> str:
+def dumps_matrix(mat: np.ndarray, m: int = 0, n: int = 0, exact=None) -> str:
     mat = np.asarray(mat, dtype=complex)
     dim = mat.shape[0]
     if (m, n) != (0, 0) and m * n != dim:
@@ -127,8 +131,7 @@ def dumps_matrix(mat: np.ndarray, m: int = 0, n: int = 0,
     return out.getvalue()
 
 
-def save_matrix(path, mat: np.ndarray, m: int = 0, n: int = 0,
-                exact: ExactMatrix | None = None) -> None:
+def save_matrix(path, mat: np.ndarray, m: int = 0, n: int = 0, exact=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_matrix(mat, m, n, exact))
 

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass
+from itertools import chain, repeat
 from multiprocessing import Pool
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .linalg import Inertia, TOL_ZERO
+from .linalg import Inertia, TOL_ZERO, check_tol_zero, spectrum_inertia
 from .states import ENSEMBLES, State, pt_array, random_state
 
 CHUNK = 2048
@@ -56,8 +57,7 @@ class SearchConfig:
             raise ValueError("structured ensemble needs m >= 2")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not (math.isfinite(self.tol_zero) and self.tol_zero > 0):
-            raise ValueError(f"tol_zero must be finite and > 0, got {self.tol_zero}")
+        check_tol_zero(self.tol_zero)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not self.ranks:
@@ -89,6 +89,21 @@ class Alarm(NamedTuple):
     index: int
     rank: int
     seed_path: tuple[int, ...]  # entropy of the generator the sample drew from
+
+
+def _alarms_from_json(raw: list) -> list[Alarm]:
+    """Logged alarms: int index and rank, inertia a list of 3 ints, seed_path a
+    list of ints.  replay parses every alarm of a record, so the checks run
+    column-wise in C and the tuples come from tuple.__new__, as in _make."""
+    inertias, indices, ranks, paths = (list(map(itemgetter(key), raw))
+                                       for key in ("inertia", "index", "rank", "seed_path"))
+    if not (set(map(type, inertias + paths)) <= {list} and set(map(len, inertias)) <= {3}
+            and set(map(type, chain(indices, ranks, *inertias, *paths))) <= {int}):
+        raise ValueError("alarms need int index and rank, an inertia of 3 ints "
+                         "and a seed_path of ints")
+    new = tuple.__new__
+    return list(map(new, repeat(Alarm), zip(map(new, repeat(Inertia), inertias),
+                                            indices, ranks, map(tuple, paths))))
 
 
 @dataclass
@@ -137,8 +152,7 @@ class SearchRecord:
             if not isinstance(data["counts"], list) or not isinstance(data["alarms"], list):
                 raise ValueError("counts and alarms must be lists")
             counts = {Inertia(*k): v for k, v in data["counts"]}
-            alarms = [Alarm(Inertia(*a["inertia"]), a["index"], a["rank"],
-                            tuple(a["seed_path"])) for a in data["alarms"]]
+            alarms = _alarms_from_json(data["alarms"])
             scheme = data.get("seed_scheme", 1)
             record = cls(config=cfg, config_hash=data["config_hash"], counts=counts,
                          marginal=data["marginal"], alarms=alarms, seed_scheme=scheme)
@@ -191,16 +205,7 @@ def _scan_range(cfg: SearchConfig, start: int, stop: int,
             gamma = pt_array(state.mat, cfg.m, cfg.n)
             gammas[idx - lo] = gamma if complex_mode else gamma.real
         vals = np.linalg.eigvalsh(gammas)
-        scale = np.maximum(1.0, np.abs(vals).max(axis=1))
-
-        def tally(tol):
-            t = (tol * scale)[:, None]
-            return (vals < -t).sum(axis=1), (vals > t).sum(axis=1)
-
-        neg, pos = tally(cfg.tol_zero)
-        neg_lo, pos_lo = tally(cfg.tol_zero / 10)
-        neg_hi, pos_hi = tally(cfg.tol_zero * 10)
-        is_marginal = (neg != neg_lo) | (pos != pos_lo) | (neg != neg_hi) | (pos != pos_hi)
+        (neg, _, pos), is_marginal = spectrum_inertia(vals, cfg.tol_zero)
         marginal += int(is_marginal.sum())
         # Python runs once per distinct triple and once per alarm, not per sample
         codes = neg * (d + 1) + pos

@@ -13,7 +13,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .linalg import TOL_ZERO, max_abs, require_hermitian, require_invertible
+from .linalg import (TOL_ZERO, max_abs, require_hermitian, require_invertible,
+                     zero_band)
 
 SCHMIDT_TOL = 1e-10
 ENSEMBLES = ("real", "complex", "structured")
@@ -153,8 +154,7 @@ def local_ranks(state: State, tol_zero: float = TOL_ZERO) -> tuple[int, int]:
 
     def rank_of(red: np.ndarray) -> int:
         vals = np.linalg.eigvalsh(red)
-        t = tol_zero * max(1.0, float(np.abs(vals).max()))
-        return int((np.abs(vals) > t).sum())
+        return int((np.abs(vals) > zero_band(vals, tol_zero)).sum())
 
     return rank_of(trace_out_b(state)), rank_of(trace_out_a(state))
 

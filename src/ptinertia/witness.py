@@ -47,29 +47,27 @@ def min_product_expectation(w: np.ndarray, m: int, n: int,
 
     Alternating eigenvector iteration: with a fixed, the optimal b is the
     bottom eigenvector of the n x n effective matrix (a (x) I)^dag W (a (x) I),
-    and symmetrically for a.  Each restart draws its own generator from
-    (seed, restart index), so the result is deterministic and independent of
-    evaluation order.  The value is an upper bound on the true minimum.
+    and symmetrically for a, each contracted from W[i, j, k, l] = <i,j|W|k,l>.
+    Each restart draws its own generator from (seed, restart index), so the
+    result is deterministic and independent of evaluation order.  The value
+    is an upper bound on the true minimum.
     """
     w = np.asarray(w, dtype=complex)
     require_hermitian(w)
     if w.shape != (m * n, m * n):
         raise ValueError(f"matrix shape {w.shape} does not match dims ({m},{n})")
     tol = 1e-12 * max(1.0, max_abs(w))
+    w4 = w.reshape(m, n, m, n)
     best_val = np.inf
     best_pair = None
-    eye_n = np.eye(n)
-    eye_m = np.eye(m)
     for restart in range(restarts):
         rng = np.random.default_rng((seed, restart))
         a = _random_unit(rng, m)
         b = _random_unit(rng, n)
         value = np.inf
         for _ in range(iter_cap):
-            lift_a = np.kron(a[:, None], eye_n)  # maps b -> a (x) b
-            val_b, b = _min_eigvec(lift_a.conj().T @ w @ lift_a)
-            lift_b = np.kron(eye_m, b[:, None])
-            val_a, a = _min_eigvec(lift_b.conj().T @ w @ lift_b)
+            val_b, b = _min_eigvec(np.einsum("i,ijkl,k->jl", a.conj(), w4, a))
+            val_a, a = _min_eigvec(np.einsum("j,ijkl,l->ik", b.conj(), w4, b))
             if abs(value - val_a) <= tol:
                 value = val_a
                 break

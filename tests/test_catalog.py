@@ -5,10 +5,10 @@ import pytest
 
 from ptinertia import (Inertia, build, build_exact, chain_seed, herm_eig,
                        ket_vector, lemma3n_family, local_ranks,
-                       partial_transpose, pt_inertia, schmidt, verify,
+                       partial_transpose, pt_array, pt_inertia, schmidt, verify,
                        verify_all)
 from ptinertia.catalog import entry_ids, ex11_closed_form, expected_inertia, get_entry
-from ptinertia.exact import exact_inertia, exact_partial_transpose
+from ptinertia.exact import exact_inertia
 
 THIRTEEN = {
     (1, 0, 8), (1, 1, 7), (1, 2, 6), (1, 3, 5), (1, 4, 4), (1, 5, 3),
@@ -122,7 +122,7 @@ def test_ivc_branch_rule():
 def test_boundary_witness_is_exactly_singular():
     # the (3,1,5) witness: certified by the exact route, marginal for floats
     rho = build_exact("arr13_xii")
-    gamma = exact_partial_transpose(rho, 3, 3)
+    gamma = pt_array(rho, 3, 3)
     assert exact_inertia(gamma) == Inertia(3, 1, 5)
     float_result = verify("arr13_xii")
     assert float_result.float_inertia == Inertia(3, 1, 5)
@@ -156,3 +156,33 @@ def test_lemma3n_rejects_small_n():
 
 def test_expected_inertia_accessor():
     assert expected_inertia("arr13_xiii") == Inertia(4, 0, 5)
+
+
+DYADIC_POINTS = [
+    ("ex11", {"a": Fraction(3, 4), "b": Fraction(-5, 8)}),
+    ("npt2_iva", {"a": Fraction(1, 2), "b": 2}),
+    ("npt2_ivc", {"a": Fraction(-3, 2), "b": Fraction(1, 4), "e": 2}),
+    ("npt2_iib", {"a": Fraction(7, 16), "b": -3}),
+]
+
+
+@pytest.mark.parametrize("entry_id, params",
+                         [(e, {}) for e in entry_ids()] + DYADIC_POINTS)
+def test_float_build_is_the_float_view_of_the_exact_build(entry_id, params):
+    # equality is exact at every default and wherever float arithmetic on
+    # the data is exact (dyadic rationals)
+    exact = build_exact(entry_id, **params)
+    assert exact.dtype == object
+    assert np.array_equal(build(entry_id, **params).mat, exact.astype(complex))
+    # the exact PT is pt_array of the exact build
+    m, n = get_entry(entry_id).dims
+    assert np.array_equal(pt_array(exact, m, n).astype(complex),
+                          partial_transpose(build(entry_id, **params)))
+
+
+def test_float_build_rounds_per_term_at_non_dyadic_points():
+    # 1/5 and 3/7 are not binary fractions: the float build rounds every
+    # product, the exact build rounds once, so they may differ in the last bit
+    params = {"a": Fraction(2, 3), "b": Fraction(1, 5), "e": Fraction(3, 7)}
+    diff = build("npt2_ivc", **params).mat - build_exact("npt2_ivc", **params).astype(complex)
+    assert np.abs(diff).max() <= 4 * np.finfo(float).eps

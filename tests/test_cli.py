@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ptinertia import build, build_exact, matio, partial_transpose
+from ptinertia import build, build_exact, matio, partial_transpose, pt_array
 from ptinertia.cli import main
 
 
@@ -30,8 +30,7 @@ def test_inertia_exact_path(tmp_path, capsys):
     code, _, err = run(capsys, "inertia", "--file", str(path), "--exact")
     assert code == 2 and "rational" in err
 
-    from ptinertia.exact import exact_partial_transpose
-    exact = exact_partial_transpose(build_exact("arr13_vi"), 3, 3)
+    exact = pt_array(build_exact("arr13_vi"), 3, 3)
     matio.save_matrix(path, partial_transpose(state), 3, 3, exact=exact)
     code, out, _ = run(capsys, "inertia", "--file", str(path), "--exact")
     assert code == 0 and out.strip() == "1 5 3"
@@ -197,3 +196,34 @@ def test_search_and_replay_exit_codes(search_logs, capsys, argv, expected):
     if expected == 2 and "gaussian" not in argv:  # argparse prints its own usage
         # one line of diagnosis, never a traceback
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("env, argv", [
+    ("nan", ["catalog", "verify", "arr13_vi"]),
+    ("inf", ["catalog", "verify", "arr13_vi"]),
+    ("-1e-9", ["table", "--dims", "2", "3"]),
+    ("zero", ["inertia", "--file", "{dir}/eye.txt"]),
+    (None, ["inertia", "--file", "{dir}/eye.txt", "--tol", "nan"]),
+    (None, ["inertia", "--file", "{dir}/eye.txt", "--tol", "inf"]),
+    (None, ["catalog", "verify", "arr13_vi", "--tol", "0"]),
+    (None, ["inertia", "--file", "{dir}/nan.txt"]),
+    (None, ["inertia", "--file", "{dir}/inf.txt"]),
+    (None, ["pt", "--file", "{dir}/nan.txt"]),
+    (None, ["replay", "--log", "{dir}/string_index.log"]),
+])
+def test_invalid_tolerances_and_entries_exit_2(tmp_path, capsys, monkeypatch, env, argv):
+    matio.save_matrix(tmp_path / "eye.txt", np.eye(4), 2, 2)
+    (tmp_path / "nan.txt").write_text("4 2 2\n" + "1 0 0 0\n0 nan 0 0\n0 0 1 0\n0 0 0 1\n")
+    (tmp_path / "inf.txt").write_text("4 2 2\n" + "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 inf\n")
+    log = tmp_path / "runs.log"
+    assert run(capsys, "search", "--dims", "3", "3", "--ranks", "3", "--samples", "200",
+               "--seed", "17", "--alarm", "(3,0,6)", "--log", str(log))[0] == 0
+    data = json.loads(log.read_text())
+    data["alarms"][0]["index"] = str(data["alarms"][0]["index"])
+    (tmp_path / "string_index.log").write_text(json.dumps(data) + "\n")
+    if env is not None:
+        monkeypatch.setenv("PTINERTIA_TOL_ZERO", env)
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    # one line of diagnosis, never a traceback
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -89,3 +89,33 @@ def test_spectrum_inertia_counts_and_flag():
 
     with pytest.raises(ValueError):
         spectrum_inertia(vals, tol_zero=0.0)
+
+
+def _band_edge_spectra(tol, scale):
+    """Spectra with one eigenvalue at, just inside or just outside each of the
+    three band edges tol/10, tol and 10*tol (times the spectrum's scale)."""
+    rows = []
+    for edge in (tol / 10, tol, 10 * tol):
+        for nudge in (1 - 1e-3, 1.0, 1 + 1e-3):
+            for sign in (-1.0, 1.0):
+                rows.append([sign * edge * scale * nudge, -scale, 0.5, scale])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_stacked_spectrum_inertia_matches_per_row_calls(rng, tol):
+    stacks = [rng.standard_normal((50, 6)) * rng.choice([1e-12, 1e-8, 1.0, 5.0], (50, 1)),
+              _band_edge_spectra(tol, 1.0), _band_edge_spectra(tol, 7.0)]
+    for vals in stacks:
+        (neg, zero, pos), marginal = spectrum_inertia(vals, tol)
+        assert neg.shape == zero.shape == pos.shape == marginal.shape == (len(vals),)
+        for row, *got in zip(vals, neg, zero, pos, marginal):
+            ine, flag = spectrum_inertia(row, tol)
+            assert type(ine.neg) is int and type(flag) is bool
+            assert (tuple(ine), flag) == (tuple(got[:3]), got[3])
+    # the band-edge spectra exercise both sides of the marginal flag
+    _, marginal = spectrum_inertia(_band_edge_spectra(tol, 7.0), tol)
+    assert marginal.any() and not marginal.all()
+    # a leading batch shape of more than one axis is kept
+    (neg, _, _), marginal = spectrum_inertia(stacks[0].reshape(5, 10, 6), tol)
+    assert neg.shape == marginal.shape == (5, 10)

@@ -51,6 +51,9 @@ def test_mixed_file_loses_exactness():
     ("2 0 0\n1 0\n", "rows"),
     ("2 0 0\n1 0 0\n0 1\n", "entries"),
     ("2 0 0\n1 zebra\n0 1\n", "parse"),
+    ("2 0 0\n1 0\n0 nan\n", "row 1, column 1: non-finite entry 'nan'"),
+    ("2 0 0\n1 -inf\n0 1\n", "row 0, column 1: non-finite"),
+    ("2 0 0\n1 0\n1+nanj 1\n", "row 1, column 0: non-finite"),
 ])
 def test_malformed_files_raise(text, message):
     with pytest.raises(ValueError, match=message):

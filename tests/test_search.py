@@ -199,6 +199,23 @@ def _good_line():
     ({"counts": [[1, 2]]}, "malformed"),
     ({"seed_scheme": 3}, "seed_scheme"),
     ({"seed_scheme": True}, "seed_scheme"),
+    ({"alarms": [{"inertia": [1, 0, 3], "index": "3", "rank": 2,
+                  "seed_path": [1, 2, 0]}]}, "alarms need int"),
+    ({"alarms": [{"inertia": [1, 0, 3], "index": 3, "rank": 2.0,
+                  "seed_path": [1, 2, 0]}]}, "alarms need int"),
+    ({"alarms": [{"inertia": [1, 3], "index": 3, "rank": 2,
+                  "seed_path": [1, 2, 0]}]}, "alarms need int"),
+    ({"alarms": [{"inertia": [1, "0", 3], "index": 3, "rank": 2,
+                  "seed_path": [1, 2, 0]}]}, "alarms need int"),
+    ({"alarms": [{"inertia": [1, 0, 3], "index": 3, "rank": True,
+                  "seed_path": [1, 2, 0]}]}, "alarms need int"),
+    ({"alarms": [{"inertia": [1, 0, 3], "index": 3, "rank": 2,
+                  "seed_path": ["x"]}]}, "alarms need int"),
+    ({"alarms": [{"inertia": [1, 0, 3], "index": 3, "rank": 2,
+                  "seed_path": 7}]}, "alarms need int"),
+    ({"alarms": [{"inertia": [1, 0, 3], "index": 3, "rank": 2,
+                  "seed_path": "12"}]}, "alarms need int"),
+    ({"alarms": [[1, 0, 3]]}, "malformed"),
 ])
 def test_malformed_log_line_names_its_line(tmp_path, edit, message):
     good = _good_line()
