@@ -3,7 +3,8 @@
 Every entry is a weighted ket mixture, so each family can be rebuilt both in
 floating point and (for rational data) in exact Gaussian-rational arithmetic.
 Both builds share one ket loop; the exact one is an ExactMatrix, whose PT is
-the same states.pt_array the float route takes.
+the same states.pt_array the float route takes, and adds each weighted
+projector only on its ket's support.
 verify() recomputes the inertia through both routes and compares against the
 entry's expected rule; a handful of families whose conventional printed forms
 do not reproduce their advertised inertia are realized through verified
@@ -450,7 +451,14 @@ def build_exact(entry_id: str, **overrides) -> ExactMatrix | None:
         return None
     if any(w.im != 0 or w.re <= 0 for w, _ in pairs):
         return None  # weights must be positive rationals
-    return sum(np.outer(ket, np.conj(ket)) * w.re for w, ket in pairs)
+    d = entry.dims[0] * entry.dims[1]
+    rho = np.full((d, d), GaussianRational(), dtype=object)
+    for w, ket in pairs:
+        # each projector only on its ket's support: catalog kets have 1-3 terms
+        nz = np.flatnonzero(ket)
+        sub = ket[nz]
+        rho[np.ix_(nz, nz)] += np.outer(sub, np.conj(sub)) * w.re
+    return rho
 
 
 def expected_inertia(entry_id: str, **overrides) -> Inertia:

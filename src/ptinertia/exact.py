@@ -10,6 +10,12 @@ An exact matrix (ExactMatrix) is a numpy ``dtype=object`` array of
 GaussianRational, so numpy's own operations serve it: states.pt_array is its
 partial transpose, np.outer/np.conj build projectors, ``.astype(complex)`` is
 its float view.  No zero band is needed here; the float one is linalg.zero_band.
+
+GaussianRational values are immutable: arithmetic returns new objects and
+nothing assigns to ``re`` or ``im`` after construction.  Cells of an exact
+matrix may therefore share one object (matio.loads_matrix gives every
+occurrence of a token the same value; catalog.build_exact fills the
+complement of each ket's support with one zero).
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # a Fraction is kept as it is; Fraction(Fraction) would rebuild it
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":

@@ -4,10 +4,11 @@ Matrix file format: one header line ``dim m n`` (three integers, with
 ``m*n == dim``; ``m = n = 0`` marks a matrix without bipartite structure),
 followed by ``dim`` rows of ``dim`` whitespace-separated entries.  An entry is
 either a decimal complex token ``re+imj`` or an exact rational token
-``p/q+r/sj``; ``nan`` and ``inf`` entries are rejected.  Files whose every
-entry is rational also carry an exact view, an ExactMatrix (object array of
-GaussianRational), for the exact inertia path; dumps_matrix also takes
-nested lists for it.
+``p/q+r/sj``; ``nan``, ``inf`` and zero-denominator entries are rejected.
+Files whose every entry is rational also carry an exact view, an ExactMatrix
+(object array of GaussianRational), for the exact inertia path; dumps_matrix
+also takes nested lists for it.  loads_matrix parses each distinct token of a
+file once, so the cells holding one token share one GaussianRational.
 """
 
 from __future__ import annotations
@@ -49,19 +50,19 @@ class MatrixFile:
 
 def parse_entry(token: str) -> tuple[complex, GaussianRational | None]:
     """Parse one entry token; returns (float value, exact value or None)."""
-    match = _RAT_FULL.match(token)
-    if match:
-        re_part = Fraction(match.group(1))
-        im_part = Fraction(match.group(2)) if match.group(2) else Fraction(0)
-        g = GaussianRational(re_part, im_part)
-        return complex(g), g
-    match = _RAT_IMAG.match(token)
-    if match:
-        g = GaussianRational(0, Fraction(match.group(1)))
-        return complex(g), g
     try:
+        match = _RAT_FULL.match(token)
+        if match:
+            re_part = Fraction(match.group(1))
+            im_part = Fraction(match.group(2)) if match.group(2) else Fraction(0)
+            g = GaussianRational(re_part, im_part)
+            return complex(g), g
+        match = _RAT_IMAG.match(token)
+        if match:
+            g = GaussianRational(0, Fraction(match.group(1)))
+            return complex(g), g
         return complex(token), None
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse matrix entry {token!r}") from exc
 
 
@@ -92,21 +93,24 @@ def loads_matrix(text: str) -> MatrixFile:
         raise ValueError(f"bipartite header ({m},{n}) inconsistent with dim={dim}")
     if len(lines) - 1 != dim:
         raise ValueError(f"expected {dim} matrix rows, found {len(lines) - 1}")
-    mat = np.zeros((dim, dim), dtype=complex)
-    exact: ExactMatrix | None = np.empty((dim, dim), dtype=object)
+    # a file repeats few distinct tokens: parse each once, share its values
+    memo: dict[str, tuple[complex, GaussianRational | None]] = {}
+    cells = []
     for i, line in enumerate(lines[1:]):
         tokens = line.split()
         if len(tokens) != dim:
             raise ValueError(f"row {i} has {len(tokens)} entries, expected {dim}")
         for j, tok in enumerate(tokens):
-            value, g = parse_entry(tok)
-            if not cmath.isfinite(value):
-                raise ValueError(f"row {i}, column {j}: non-finite entry {tok!r}")
-            mat[i, j] = value
-            if exact is not None and g is not None:
-                exact[i, j] = g
-            else:
-                exact = None
+            cell = memo.get(tok)
+            if cell is None:
+                cell = memo[tok] = parse_entry(tok)
+                if not cmath.isfinite(cell[0]):
+                    raise ValueError(f"row {i}, column {j}: non-finite entry {tok!r}")
+            cells.append(cell)
+    mat = np.array([value for value, _ in cells], dtype=complex).reshape(dim, dim)
+    exact: ExactMatrix | None = None
+    if all(g is not None for _, g in memo.values()):
+        exact = np.array([g for _, g in cells], dtype=object).reshape(dim, dim)
     return MatrixFile(mat=mat, m=m, n=n, exact=exact)
 
 
@@ -150,7 +154,9 @@ def parse_ket(literal: str, m: int, n: int) -> np.ndarray:
 
     Coefficients may be decimal, rational ``p/q``, or complex; an omitted
     coefficient means 1.  Returns the amplitude vector in the row-major
-    (A-index, B-index) convention.
+    (A-index, B-index) convention.  A term whose coefficient does not parse
+    (``1/0``) or leaves its amplitude non-finite (``inf``, ``nan``, overflow)
+    raises ValueError naming the term.
     """
     vec = np.zeros(m * n, dtype=complex)
     matched_spans = []
@@ -159,10 +165,15 @@ def parse_ket(literal: str, m: int, n: int) -> np.ndarray:
         i, j = int(i_s), int(j_s)
         if i >= m or j >= n:
             raise ValueError(f"ket index |{i},{j}> out of range for dims ({m},{n})")
-        coef = parse_coefficient(coef_text)
-        if sign == "-":
-            coef = -coef
-        vec[i * n + j] += coef
+        term = match.group(0).strip(" +")
+        try:
+            coef = parse_coefficient(coef_text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse ket term {term!r}") from exc
+        amp = complex(vec[i * n + j]) + (-coef if sign == "-" else coef)
+        if not cmath.isfinite(amp):
+            raise ValueError(f"non-finite amplitude at ket term {term!r}")
+        vec[i * n + j] = amp
         matched_spans.append(match.span())
     if not matched_spans:
         raise ValueError(f"no ket terms found in {literal!r}")

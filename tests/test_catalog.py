@@ -7,8 +7,9 @@ from ptinertia import (Inertia, build, build_exact, chain_seed, herm_eig,
                        ket_vector, lemma3n_family, local_ranks,
                        partial_transpose, pt_array, pt_inertia, schmidt, verify,
                        verify_all)
-from ptinertia.catalog import entry_ids, ex11_closed_form, expected_inertia, get_entry
-from ptinertia.exact import exact_inertia
+from ptinertia.catalog import (_merge_params, _weighted_kets, entry_ids, ex11_closed_form,
+                               expected_inertia, get_entry)
+from ptinertia.exact import GaussianRational, exact_inertia
 
 THIRTEEN = {
     (1, 0, 8), (1, 1, 7), (1, 2, 6), (1, 3, 5), (1, 4, 4), (1, 5, 3),
@@ -186,3 +187,46 @@ def test_float_build_rounds_per_term_at_non_dyadic_points():
     params = {"a": Fraction(2, 3), "b": Fraction(1, 5), "e": Fraction(3, 7)}
     diff = build("npt2_ivc", **params).mat - build_exact("npt2_ivc", **params).astype(complex)
     assert np.abs(diff).max() <= 4 * np.finfo(float).eps
+
+
+def _dense_exact_build(entry_id, **params):
+    """Reference: the sum of full d x d weighted outer products of every ket."""
+    entry = get_entry(entry_id)
+    pairs = _weighted_kets(entry, _merge_params(entry, params), GaussianRational.coerce)
+    return sum(np.outer(ket, np.conj(ket)) * w.re for w, ket in pairs)
+
+
+RATIONAL_POINTS = DYADIC_POINTS + [
+    ("npt2_ivc", {"a": Fraction(2, 3), "b": Fraction(1, 5), "e": Fraction(3, 7)}),
+    # cross terms of the two kets cancel in cell (|0,0>, |1,1>): 1 + a e* = 0
+    ("npt2_ivc", {"a": 1, "b": Fraction(1, 2), "e": -1}),
+    ("npt2_ivc", {"a": GaussianRational(0, 1), "b": 1, "e": GaussianRational(0, -1)}),
+    # a zero amplitude leaves its index out of the ket's support
+    ("npt2_iia", {"a": 0, "b": Fraction(-2, 3)}),
+    ("npt2_iva", {"a": GaussianRational(1, 1), "b": GaussianRational(0, 1)}),
+]
+
+
+@pytest.mark.parametrize("entry_id, params",
+                         [(e, {}) for e in entry_ids()] + RATIONAL_POINTS)
+def test_support_only_exact_build_equals_the_dense_sum(entry_id, params):
+    got = build_exact(entry_id, **params)
+    want = _dense_exact_build(entry_id, **params)
+    assert got.shape == want.shape
+    assert all(type(g) is GaussianRational for g in got.flat)
+    assert all(g == w for g, w in zip(got.flat, want.flat))
+
+
+def test_support_only_build_cancels_exactly():
+    rho = build_exact("npt2_ivc", a=1, b=Fraction(1, 2), e=-1)
+    assert rho[0, 4] == 0 and rho[4, 0] == 0
+    assert rho[0, 0] == 2  # |1|^2 from each ket
+
+
+@pytest.mark.parametrize("entry_id, params", [
+    ("ex11", {"a": 0.5}),
+    ("npt2_ivc", {"e": 1j}),
+    ("npt2_iva", {"a": 1, "b": 0.25}),
+])
+def test_irrational_parameters_give_no_exact_build(entry_id, params):
+    assert build_exact(entry_id, **params) is None

@@ -36,6 +36,14 @@ def test_inertia_exact_path(tmp_path, capsys):
     assert code == 0 and out.strip() == "1 5 3"
 
 
+def test_inertia_exact_rejects_a_non_hermitian_rational_file(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("2 0 0\n1 1/2\n1/3 1\n")
+    code, out, err = run(capsys, "inertia", "--file", str(path), "--exact")
+    assert code == 2 and out == ""
+    assert err == "error: exact_inertia requires an exactly Hermitian matrix\n"
+
+
 def test_inertia_tol_flag(tmp_path, capsys):
     path = tmp_path / "m.txt"
     matio.save_matrix(path, np.diag([1.0, 1e-6, -1.0]), 0, 0)
@@ -210,11 +218,16 @@ def test_search_and_replay_exit_codes(search_logs, capsys, argv, expected):
     (None, ["inertia", "--file", "{dir}/inf.txt"]),
     (None, ["pt", "--file", "{dir}/nan.txt"]),
     (None, ["replay", "--log", "{dir}/string_index.log"]),
+    (None, ["schmidt", "--ket", "inf|0,0> + 1|1,1>", "--dims", "2", "2"]),
+    (None, ["schmidt", "--ket", "nan|0,0> + 1|1,1>", "--dims", "2", "2"]),
+    (None, ["schmidt", "--ket", "1/0|0,0> + 1|1,1>", "--dims", "2", "2"]),
+    (None, ["inertia", "--file", "{dir}/zero_denominator.txt"]),
 ])
 def test_invalid_tolerances_and_entries_exit_2(tmp_path, capsys, monkeypatch, env, argv):
     matio.save_matrix(tmp_path / "eye.txt", np.eye(4), 2, 2)
     (tmp_path / "nan.txt").write_text("4 2 2\n" + "1 0 0 0\n0 nan 0 0\n0 0 1 0\n0 0 0 1\n")
     (tmp_path / "inf.txt").write_text("4 2 2\n" + "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 inf\n")
+    (tmp_path / "zero_denominator.txt").write_text("2 0 0\n1 0\n0 1/0\n")
     log = tmp_path / "runs.log"
     assert run(capsys, "search", "--dims", "3", "3", "--ranks", "3", "--samples", "200",
                "--seed", "17", "--alarm", "(3,0,6)", "--log", str(log))[0] == 0

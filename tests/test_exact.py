@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptinertia import build_exact, inertia_of, pt_array
 from ptinertia.exact import GaussianRational, exact_inertia, exact_is_hermitian
@@ -73,3 +74,87 @@ def test_exact_dm_is_psd_mixture():
     assert exact_is_hermitian(rho)
     ine = exact_inertia(rho)
     assert ine.neg == 0 and ine.pos == 1
+
+
+def charpoly_inertia(mat) -> Inertia:
+    """Independent oracle: inertia from the characteristic polynomial.
+
+    H = A + iB is Hermitian iff its real embedding E = [[A, -B], [B, A]] is
+    symmetric, and E has H's spectrum with every eigenvalue twice.  The
+    characteristic polynomial of E comes from Faddeev-LeVerrier over Q
+    (M_k = E M_{k-1} + c_{N-k+1} I, c_{N-k} = -tr(E M_k) / k); it is
+    real-rooted, so Descartes' rule of signs counts its positive and negative
+    roots exactly, and the multiplicity of the root 0 is its number of
+    vanishing low-order coefficients.  No GaussianRational arithmetic and no
+    elimination is involved.
+    """
+    d = len(mat)
+    e = np.array([[Fraction(0)] * (2 * d) for _ in range(2 * d)], dtype=object)
+    for i in range(d):
+        for j in range(d):
+            g = G.coerce(mat[i][j])
+            e[i, j] = e[d + i, d + j] = g.re
+            e[d + i, j], e[i, d + j] = g.im, -g.im
+    big_n = 2 * d
+    eye = np.array([[Fraction(int(i == j)) for j in range(big_n)] for i in range(big_n)],
+                   dtype=object)
+    coeffs = [Fraction(0)] * big_n + [Fraction(1)]  # coeffs[k] multiplies x^k
+    m_k = eye * 0
+    for k in range(1, big_n + 1):
+        m_k = e.dot(m_k) + eye * coeffs[big_n - k + 1]
+        coeffs[big_n - k] = -sum((e * m_k.T).flat) / k  # tr(E M_k) without a product
+
+    zero = next(k for k, c in enumerate(coeffs) if c != 0)
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    rest = coeffs[zero:]
+    pos = sign_changes(rest)
+    neg = sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(rest)])
+    assert zero + pos + neg == big_n  # real-rooted, so Descartes is exact
+    assert zero % 2 == pos % 2 == neg % 2 == 0
+    return Inertia(neg // 2, zero // 2, pos // 2)
+
+
+def test_charpoly_oracle_on_known_spectra():
+    assert charpoly_inertia(np.diag([G(2), G(-1), G(0), G(Fraction(1, 3))])) == Inertia(1, 1, 2)
+    assert charpoly_inertia([[G(0), G(0, 1)], [G(0, -1), G(0)]]) == Inertia(1, 0, 1)
+    assert charpoly_inertia([[G(1), G(1)], [G(1), G(1)]]) == Inertia(0, 1, 1)
+    gamma = pt_array(build_exact("arr13_xii"), 3, 3)
+    assert charpoly_inertia(gamma) == Inertia(3, 1, 5)
+
+
+_small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_gaussian_rationals = st.builds(G, _small_rationals, _small_rationals)
+
+
+@st.composite
+def gaussian_rational_hermitians(draw):
+    """Small Hermitian matrices over Q(i): generic, rank-deficient
+    (sum of fewer than d signed projectors) or with a zero diagonal, which
+    leaves the elimination no 1x1 pivot at its first step."""
+    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["generic", "rank_deficient", "zero_diagonal"]))
+    if kind == "rank_deficient":
+        r = draw(st.integers(0, d - 1))
+        vecs = [[draw(_gaussian_rationals) for _ in range(d)] for _ in range(r)]
+        signs = [draw(st.sampled_from([-1, 1])) for _ in range(r)]
+        return [[sum((s * v[i] * v[j].conjugate() for s, v in zip(signs, vecs)), G(0))
+                 for j in range(d)] for i in range(d)]
+    mat = [[G(0)] * d for _ in range(d)]
+    for i in range(d):
+        if kind == "generic":
+            mat[i][i] = G(draw(_small_rationals))
+        for j in range(i + 1, d):
+            mat[i][j] = draw(_gaussian_rationals)
+            mat[j][i] = mat[i][j].conjugate()
+    return mat
+
+
+@settings(max_examples=100)
+@given(gaussian_rational_hermitians())
+def test_exact_inertia_matches_the_charpoly_oracle(mat):
+    assert exact_is_hermitian(mat)
+    assert exact_inertia(mat) == charpoly_inertia(mat)

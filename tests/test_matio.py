@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ptinertia import matio
-from ptinertia.exact import GaussianRational
+from ptinertia import Inertia, build_exact, matio, pt_array
+from ptinertia.exact import GaussianRational, exact_inertia
 
 
 def test_float_round_trip(rng, tmp_path):
@@ -88,3 +88,62 @@ def test_parse_ket_errors():
         matio.parse_ket("garbage", 2, 2)
     with pytest.raises(ValueError, match="unparsed"):
         matio.parse_ket("1|0,0> leftovers", 2, 2)
+    with pytest.raises(ValueError, match=r"non-finite amplitude at ket term 'inf\|0,0>'"):
+        matio.parse_ket("inf|0,0> + 1|1,1>", 2, 2)
+    with pytest.raises(ValueError, match=r"non-finite amplitude at ket term '- nan\|1,1>'"):
+        matio.parse_ket("1|0,0> - nan|1,1>", 2, 2)
+    with pytest.raises(ValueError, match=r"non-finite amplitude at ket term '1e308\|0,0>'"):
+        matio.parse_ket("1e308|0,0> + 1e308|0,0>", 2, 2)  # each finite, the sum is not
+    with pytest.raises(ValueError, match=r"cannot parse ket term '1/0\|0,0>'"):
+        matio.parse_ket("1/0|0,0>", 2, 2)
+    with pytest.raises(ValueError, match=r"cannot parse ket term 'abc\|0,0>'"):
+        matio.parse_ket("abc|0,0>", 2, 2)
+
+
+def _fresh_exact(text):
+    """The exact view of `text` with every cell parsed on its own."""
+    rows = [ln.split() for ln in text.splitlines()[1:]]
+    return np.array([[matio.parse_entry(tok)[1] for tok in row] for row in rows])
+
+
+def test_repeated_non_finite_token_names_its_first_cell():
+    text = "3 0 0\n1 0 0\n0 1 nan\nnan 0 nan\n"
+    with pytest.raises(ValueError, match="row 1, column 2: non-finite entry 'nan'"):
+        matio.loads_matrix(text)
+
+
+def test_zero_denominator_entry_is_rejected():
+    with pytest.raises(ValueError, match="cannot parse matrix entry '1/0'"):
+        matio.loads_matrix("2 0 0\n1 1/0\n0 1\n")
+
+
+def test_rational_file_cells_equal_their_own_parse():
+    text = "3 0 0\n1/2 -1/3+2j 0\n-1/3-2j 1/2 7/4j\n0 -7/4j 1/2\n"
+    mf = matio.loads_matrix(text)
+    expect = _fresh_exact(text)
+    assert mf.exact.dtype == object and mf.exact.shape == (3, 3)
+    assert all(type(g) is GaussianRational for g in mf.exact.flat)
+    assert all(a == b for a, b in zip(mf.exact.flat, expect.flat))
+    assert np.array_equal(mf.mat, mf.exact.astype(complex))
+    assert mf.exact[0, 0] is mf.exact[1, 1]  # one value per distinct token
+
+
+def test_decimal_token_anywhere_drops_the_exact_view():
+    # "1.0" equals the rational token "1" but is decimal
+    mf = matio.loads_matrix("2 0 0\n1 0\n0 1.0\n")
+    assert mf.exact is None
+    assert np.array_equal(mf.mat, np.eye(2))
+
+
+def test_shared_entries_survive_pt_and_certification():
+    # every cell of a catalog PT repeats one of a few tokens; loading, the
+    # exact partial transpose and the elimination must leave them untouched
+    rho = build_exact("arr13_xii")
+    text = matio.dumps_matrix(rho.astype(complex), 3, 3, pt_array(rho, 3, 3))
+    mf = matio.loads_matrix(text)
+    pt_array(mf.exact, 3, 3)
+    ine = exact_inertia(mf.exact)
+    assert ine == Inertia(3, 1, 5)
+    fresh = _fresh_exact(text)
+    assert all(a == b for a, b in zip(mf.exact.flat, fresh.flat))
+    assert exact_inertia(mf.exact) == ine
