@@ -15,8 +15,7 @@ from . import catalog, matio, search, tables, witness
 from .exact import exact_inertia
 from .inertia import Inertia, inertia_of, pt_inertia
 from .linalg import TOL_ZERO, check_tol_zero
-from .states import ENSEMBLES, State, partial_transpose, pt_array, schmidt
-from .witness import min_product_expectation
+from .states import ENSEMBLES, State, pt_array, schmidt
 
 ENV_TOL = "PTINERTIA_TOL_ZERO"
 
@@ -144,20 +143,26 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify_ew(args) -> int:
+    if args.restarts < 0:
+        raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
     mf = matio.load_matrix(args.file)
     if not mf.bipartite:
         print("error: witness check needs a bipartite header", file=sys.stderr)
         return 2
     state = State(mf.m, mf.n, mf.mat)
-    ine = pt_inertia(state, args.tol)
-    gamma = partial_transpose(state.normalized())
-    value, _ = min_product_expectation(gamma, mf.m, mf.n,
-                                       restarts=args.restarts, seed=args.seed)
-    ok = ine.neg >= 1 and value >= -witness.EW_TOL
-    print(f"inertia {_fmt(ine)}")
-    print(f"product_min {value:.12e}")
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    print(f"inertia {_fmt(pt_inertia(state, args.tol))}")
+    try:
+        w = witness.is_witness(state, args.tol, exact=mf.exact,
+                               restarts=args.restarts, seed=args.seed)
+    except ValueError as exc:
+        print(f"# {exc}", file=sys.stderr)
+        print("FAIL")
+        return 1
+    print(f"certified {w.certified}")
+    if w.product_min is not None:
+        print(f"product_min {w.product_min:.12e}")
+    print("PASS")
+    return 0
 
 
 def cmd_search(args) -> int:
@@ -241,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-ew", help="validate the PT of a state as a witness")
     p.add_argument("--file", required=True)
-    p.add_argument("--restarts", type=int, default=witness.DEFAULT_RESTARTS)
+    p.add_argument("--restarts", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_verify_ew)

@@ -1,14 +1,16 @@
 """Text I/O for matrices and ket literals.
 
 Matrix file format: one header line ``dim m n`` (three integers, with
-``m*n == dim``; ``m = n = 0`` marks a matrix without bipartite structure),
-followed by ``dim`` rows of ``dim`` whitespace-separated entries.  An entry is
-either a decimal complex token ``re+imj`` or an exact rational token
-``p/q+r/sj``; ``nan``, ``inf`` and zero-denominator entries are rejected.
-Files whose every entry is rational also carry an exact view, an ExactMatrix
-(object array of GaussianRational), for the exact inertia path; dumps_matrix
-also takes nested lists for it.  loads_matrix parses each distinct token of a
-file once, so the cells holding one token share one GaussianRational.
+``m, n > 0`` and ``m*n == dim``; ``m = n = 0`` marks a matrix without
+bipartite structure), followed by ``dim`` rows of ``dim`` whitespace-separated
+entries.  An entry is either a decimal complex token ``re+imj`` or an exact
+rational token ``p/q+r/sj``; ``nan``, ``inf``, zero-denominator entries and
+rationals too large for a float are rejected.  Files whose every entry is
+rational also carry an exact view, an ExactMatrix (object array of
+GaussianRational), for the exact inertia path; dumps_matrix also takes nested
+lists for it.  loads_matrix parses each distinct token of a file once, so the
+cells holding one token share one GaussianRational.  A ket literal's
+coefficients are entry tokens too, read by the same parse_entry.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def parse_entry(token: str) -> tuple[complex, GaussianRational | None]:
             g = GaussianRational(0, Fraction(match.group(1)))
             return complex(g), g
         return complex(token), None
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        # OverflowError: a rational too large for its float view
         raise ValueError(f"cannot parse matrix entry {token!r}") from exc
 
 
@@ -89,6 +92,8 @@ def loads_matrix(text: str) -> MatrixFile:
     dim, m, n = (int(tok) for tok in header)
     if dim <= 0:
         raise ValueError("matrix dimension must be positive")
+    if (m, n) != (0, 0) and (m <= 0 or n <= 0):
+        raise ValueError(f"bipartite header ({m},{n}) needs m, n > 0 (or 0 0)")
     if (m, n) != (0, 0) and m * n != dim:
         raise ValueError(f"bipartite header ({m},{n}) inconsistent with dim={dim}")
     if len(lines) - 1 != dim:
@@ -140,19 +145,11 @@ def save_matrix(path, mat: np.ndarray, m: int = 0, n: int = 0, exact=None) -> No
         fh.write(dumps_matrix(mat, m, n, exact))
 
 
-def parse_coefficient(text: str) -> complex:
-    text = text.strip()
-    if not text:
-        return 1.0
-    if "/" in text and "j" not in text:
-        return complex(Fraction(text))
-    return complex(text.replace(" ", ""))
-
-
 def parse_ket(literal: str, m: int, n: int) -> np.ndarray:
     """Parse a ket literal like ``"1|0,0> + 1|1,1> + 0.5|2,2>"``.
 
-    Coefficients may be decimal, rational ``p/q``, or complex; an omitted
+    A coefficient is a matrix-file entry token (parse_entry: decimal,
+    rational ``p/q``, complex, ``1/2j``), spaces ignored; an omitted
     coefficient means 1.  Returns the amplitude vector in the row-major
     (A-index, B-index) convention.  A term whose coefficient does not parse
     (``1/0``) or leaves its amplitude non-finite (``inf``, ``nan``, overflow)
@@ -167,8 +164,9 @@ def parse_ket(literal: str, m: int, n: int) -> np.ndarray:
             raise ValueError(f"ket index |{i},{j}> out of range for dims ({m},{n})")
         term = match.group(0).strip(" +")
         try:
-            coef = parse_coefficient(coef_text)
-        except (ValueError, ZeroDivisionError) as exc:
+            # an entry token with its spaces dropped; an omitted coefficient is 1
+            coef = parse_entry("".join(coef_text.split()) or "1")[0]
+        except ValueError as exc:
             raise ValueError(f"cannot parse ket term {term!r}") from exc
         amp = complex(vec[i * n + j]) + (-coef if sign == "-" else coef)
         if not cmath.isfinite(amp):

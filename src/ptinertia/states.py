@@ -111,10 +111,6 @@ def schmidt(psi: np.ndarray, m: int, n: int, tol: float = SCHMIDT_TOL) -> Schmid
     return SchmidtDecomposition(coefficients=s, basis_a=u, basis_b=vh, rank=rank)
 
 
-def schmidt_rank(psi: np.ndarray, m: int, n: int, tol: float = SCHMIDT_TOL) -> int:
-    return schmidt(psi, m, n, tol).rank
-
-
 def dm_from_kets(kets: Sequence[np.ndarray], weights: Sequence[float] | None = None,
                  m: int | None = None, n: int | None = None) -> State:
     """Density matrix sum_i w_i |psi_i><psi_i| from amplitude vectors."""

@@ -2,19 +2,25 @@
 
 A witness here is a Hermitian W that is not positive semidefinite yet has
 nonnegative expectation on every product vector.  The PT of an NPT state is
-the canonical decomposable example; min_product_expectation provides the
-(heuristic but multi-restart) product-vector minimum used to validate the
-second clause.
+the canonical decomposable example: for every product vector
+<a,b|rho^Gamma|a,b> = <a*,b|rho|a*,b> >= lambda_min(rho), so the product
+clause follows from rho >= 0 (Peres-Horodecki).  is_witness certifies that
+clause by checking rho >= 0, exactly over Q(i) when an exact view of rho is
+given and against the float zero band otherwise.  min_product_expectation,
+a multi-restart alternating minimiser, stays as a diagnostic for an
+arbitrary W; its value is only an upper bound on the product minimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
+from .exact import ExactMatrix, exact_inertia
 from .inertia import pt_inertia
-from .linalg import TOL_ZERO, herm_eig, max_abs, require_hermitian
+from .linalg import TOL_RESID, TOL_ZERO, herm_eig, max_abs, require_hermitian, zero_band
 from .states import State, partial_transpose
 
 EW_TOL = 1e-7
@@ -27,6 +33,9 @@ class Witness:
     m: int
     n: int
     mat: np.ndarray
+    certified: Literal["exact", "float"]
+    # the minimiser's cross-check value, when is_witness ran it
+    product_min: float | None = None
 
 
 def _random_unit(rng, dim: int) -> np.ndarray:
@@ -79,24 +88,46 @@ def min_product_expectation(w: np.ndarray, m: int, n: int,
 
 
 def is_witness(state: State, tol_zero: float = TOL_ZERO, ew_tol: float = EW_TOL,
-               restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> Witness:
-    """Return the PT of a trace-normalized NPT state as a validated witness.
+               restarts: int = 0, seed: int = 0,
+               exact: ExactMatrix | None = None) -> Witness:
+    """Return the PT of a trace-normalized NPT state as a certified witness.
 
-    Checks both clauses: at least one negative eigenvalue, and product-vector
-    expectations bounded below by -ew_tol.  PPT input or a product minimum
-    below the tolerance is rejected.
+    The NPT clause needs at least one negative eigenvalue of the PT.  The
+    product clause is certified from rho >= 0: with `exact`, an ExactMatrix
+    of the same rho, by exact_inertia(exact).neg == 0 (certified="exact");
+    otherwise by lambda_min(rho) >= -zero_band(spectrum, tol_zero) on the
+    trace-normalized state (certified="float").  A PPT or non-PSD input
+    raises ValueError.  restarts > 0 also runs min_product_expectation as a
+    cross-check and rejects a value below -ew_tol.
     """
-    gamma = partial_transpose(state.normalized())
+    rho = state.normalized()
+    gamma = partial_transpose(rho)
     ine = pt_inertia(state, tol_zero)
     if ine.neg < 1:
         raise ValueError(f"state is PPT (inertia {ine}); its PT is not a witness")
-    value, _ = min_product_expectation(gamma, state.m, state.n,
-                                       restarts=restarts, seed=seed)
-    if value < -ew_tol:
-        raise ValueError(
-            f"product-vector minimum {value:.3e} below -{ew_tol:.1e}; not a witness"
-        )
-    return Witness(state.m, state.n, gamma)
+    # pt_inertia has checked that the PT, and so rho, is Hermitian
+    values = np.linalg.eigvalsh(rho.mat)
+    if exact is None:
+        certified = "float"
+        psd = values[0] >= -zero_band(values, tol_zero)
+    else:
+        certified = "exact"
+        if exact.shape != state.mat.shape or (
+                max_abs(exact.astype(complex) - state.mat)
+                > TOL_RESID * max(1.0, max_abs(state.mat))):
+            raise ValueError("exact view does not match the state's matrix")
+        psd = exact_inertia(exact).neg == 0
+    if not psd:
+        raise ValueError(f"state is not PSD ({certified} check, smallest eigenvalue "
+                         f"{values[0]:.3e}); its PT is not a witness")
+    product_min = None
+    if restarts > 0:
+        product_min, _ = min_product_expectation(gamma, state.m, state.n,
+                                                 restarts=restarts, seed=seed)
+        if product_min < -ew_tol:
+            raise ValueError(f"product-vector minimum {product_min:.3e} below "
+                             f"-{ew_tol:.1e}; not a witness")
+    return Witness(state.m, state.n, gamma, certified, product_min)
 
 
 def compress(w: np.ndarray, proj: np.ndarray, tol: float = 1e-10) -> np.ndarray:

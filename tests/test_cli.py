@@ -222,12 +222,15 @@ def test_search_and_replay_exit_codes(search_logs, capsys, argv, expected):
     (None, ["schmidt", "--ket", "nan|0,0> + 1|1,1>", "--dims", "2", "2"]),
     (None, ["schmidt", "--ket", "1/0|0,0> + 1|1,1>", "--dims", "2", "2"]),
     (None, ["inertia", "--file", "{dir}/zero_denominator.txt"]),
+    (None, ["inertia", "--file", "{dir}/negative_dims.txt"]),
+    (None, ["verify-ew", "--file", "{dir}/eye.txt", "--restarts", "-1"]),
 ])
 def test_invalid_tolerances_and_entries_exit_2(tmp_path, capsys, monkeypatch, env, argv):
     matio.save_matrix(tmp_path / "eye.txt", np.eye(4), 2, 2)
     (tmp_path / "nan.txt").write_text("4 2 2\n" + "1 0 0 0\n0 nan 0 0\n0 0 1 0\n0 0 0 1\n")
     (tmp_path / "inf.txt").write_text("4 2 2\n" + "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 inf\n")
     (tmp_path / "zero_denominator.txt").write_text("2 0 0\n1 0\n0 1/0\n")
+    (tmp_path / "negative_dims.txt").write_text("4 -2 -2\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
     log = tmp_path / "runs.log"
     assert run(capsys, "search", "--dims", "3", "3", "--ranks", "3", "--samples", "200",
                "--seed", "17", "--alarm", "(3,0,6)", "--log", str(log))[0] == 0
@@ -240,3 +243,29 @@ def test_invalid_tolerances_and_entries_exit_2(tmp_path, capsys, monkeypatch, en
     assert code == 2 and out == ""
     # one line of diagnosis, never a traceback
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_ew_reports_certificate_and_optional_minimum(tmp_path, capsys):
+    npt = tmp_path / "npt.txt"
+    run(capsys, "catalog", "dump", "arr13_vi", "--out", str(npt))
+    code, out, _ = run(capsys, "verify-ew", "--file", str(npt))
+    assert code == 0
+    assert out.splitlines() == ["inertia 1 5 3", "certified exact", "PASS"]
+
+    floats = tmp_path / "floats.txt"
+    matio.save_matrix(floats, build("arr13_vi").mat, 3, 3)
+    code, out, _ = run(capsys, "verify-ew", "--file", str(floats), "--restarts", "3")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[:2] == ["inertia 1 5 3", "certified float"]
+    assert lines[2].startswith("product_min ") and lines[3:] == ["PASS"]
+
+
+def test_verify_ew_rejects_non_psd_file(tmp_path, capsys):
+    # F + |Phi+><Phi+| on 2x2: NPT PT, but the matrix has eigenvalue -1
+    path = tmp_path / "non_state.txt"
+    path.write_text("4 2 2\n3/2 0 0 1/2\n0 0 1 0\n0 1 0 0\n1/2 0 0 3/2\n")
+    code, out, err = run(capsys, "verify-ew", "--file", str(path))
+    assert code == 1
+    assert out.splitlines() == ["inertia 1 0 3", "FAIL"]
+    assert "not PSD" in err

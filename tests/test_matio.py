@@ -54,6 +54,8 @@ def test_mixed_file_loses_exactness():
     ("2 0 0\n1 0\n0 nan\n", "row 1, column 1: non-finite entry 'nan'"),
     ("2 0 0\n1 -inf\n0 1\n", "row 0, column 1: non-finite"),
     ("2 0 0\n1 0\n1+nanj 1\n", "row 1, column 0: non-finite"),
+    ("4 -2 -2\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", r"needs m, n > 0"),
+    ("2 0 0\n1 0\n0 1" + "0" * 400 + "\n", "cannot parse matrix entry"),
 ])
 def test_malformed_files_raise(text, message):
     with pytest.raises(ValueError, match=message):
@@ -147,3 +149,10 @@ def test_shared_entries_survive_pt_and_certification():
     fresh = _fresh_exact(text)
     assert all(a == b for a, b in zip(mf.exact.flat, fresh.flat))
     assert exact_inertia(mf.exact) == ine
+
+
+def test_parse_ket_reads_coefficients_as_matrix_entries():
+    vec = matio.parse_ket("1/2j|0,0> - 3/4j|1,1> + 1 / 2|0,1>", 2, 2)
+    assert vec[0] == 0.5j and vec[1] == 0.5 and vec[3] == -0.75j
+    for token in ["1/2j", "-2/3j", "1.5", "2j", "3/4"]:
+        assert matio.parse_ket(f"{token}|1,0>", 2, 2)[2] == matio.parse_entry(token)[0]

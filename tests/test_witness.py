@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from ptinertia import (build, compress, dm_from_kets, is_witness, ket_vector,
-                       min_product_expectation, partial_transpose, pt_inertia)
+from ptinertia import (State, build, build_exact, compress, dm_from_kets, is_witness,
+                       ket_vector, min_product_expectation, partial_transpose,
+                       pt_inertia, random_state)
 from ptinertia.catalog import entry_ids
+from ptinertia.matio import loads_matrix
 from ptinertia.witness import corner_projector
 
 
@@ -107,3 +110,50 @@ def test_corner_compression_trace_nonnegative_on_witnesses():
         gamma = partial_transpose(state.normalized())
         out = compress(gamma, proj)
         assert np.real(np.trace(out)) >= -1e-10
+
+
+# F + |Phi+><Phi+| on 2x2 (F the swap): its PT is NPT and it has eigenvalue -1,
+# yet every product expectation of its PT is >= 0, so the minimiser alone
+# cannot reject it
+NON_STATE = "4 2 2\n3/2 0 0 1/2\n0 0 1 0\n0 1 0 0\n1/2 0 0 3/2\n"
+
+
+def test_catalog_witnesses_certified_exact_and_float():
+    for entry_id in entry_ids():
+        state = build(entry_id)
+        exact = build_exact(entry_id)
+        assert exact is not None, entry_id
+        assert is_witness(state, exact=exact).certified == "exact"
+        w = is_witness(state)
+        assert w.certified == "float" and w.product_min is None
+
+
+def test_is_witness_rejects_non_psd_state_in_both_modes():
+    mf = loads_matrix(NON_STATE)
+    state = State(2, 2, mf.mat)
+    assert pt_inertia(state).neg >= 1
+    gamma = partial_transpose(state.normalized())
+    assert min_product_expectation(gamma, 2, 2, restarts=10, seed=0)[0] >= -1e-7
+    for mode, view in (("float", None), ("exact", mf.exact)):
+        with pytest.raises(ValueError,
+                           match=rf"not PSD \({mode} check, smallest eigenvalue -3.333e-01"):
+            is_witness(state, exact=view)
+
+
+def test_is_witness_rejects_an_exact_view_of_another_state():
+    with pytest.raises(ValueError, match="does not match"):
+        is_witness(build("arr13_vi"), exact=build_exact("arr13_ix"))
+    with pytest.raises(ValueError, match="does not match"):
+        is_witness(build("arr13_vi"), exact=build_exact("arr13_vi")[:4, :4])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+       st.integers(1, 9), st.sampled_from(["real", "complex"]))
+def test_product_minimum_bounded_by_state_spectrum(seed, dims, rank, ensemble):
+    # <a,b|rho^Gamma|a,b> = <a*,b|rho|a*,b> >= lambda_min(rho): the bound
+    # behind is_witness's certificate
+    m, n = dims
+    rho = random_state(m, n, min(rank, m * n), ensemble, seed).normalized()
+    value, _ = min_product_expectation(partial_transpose(rho), m, n,
+                                       restarts=2, seed=seed)
+    assert value >= np.linalg.eigvalsh(rho.mat)[0] - 1e-9
