@@ -523,39 +523,40 @@ def chain_seed(n: int, k: int) -> State:
     return dm_from_kets(kets, [1.0] * k, 2, n)
 
 
-def lemma3n_family(n: int, eps: float = 0.125,
-                   tol_zero: float = TOL_ZERO) -> list[tuple[Inertia, State]]:
-    """(n-1)(2n-1) verified inertias on (3, n), built from 2 x n chain seeds.
+def lemma3n_family(n: int, eps: float = 0.125, tol_zero: float = TOL_ZERO, *,
+                   m: int = 3) -> list[tuple[Inertia, State]]:
+    """(n-1)(mn-n-1) verified inertias on (m, n), built from 2 x n chain seeds.
 
-    Row k (1 <= k <= n-1) embeds chain_seed(n, k) into (3, n) and lifts j of
-    the available product basis states (the seed's own kernel states plus the
-    whole new A=2 row) by eps, sweeping
+    The one builder of the chain-family rows of the 2xN (m=2) and 3xN (m=3)
+    inertia tables.  Row k (1 <= k <= n-1) puts chain_seed(n, k) on A-levels
+    0 and 1 and lifts j of the product basis states outside its support (the
+    seed's own kernel states |0,t>, |1,t> for t > k, then every state with
+    A-level >= 2) by eps on the diagonal, sweeping
 
-        (k, 3n-2k-2-j, k+2+j)   for 0 <= j <= 3n-2k-2.
+        (k, mn-2k-2-j, k+2+j)   for 0 <= j <= mn-2k-2.
 
     Every output is re-verified; a mismatch raises.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if n < 2 or m < 2:
+        raise ValueError(f"need m >= 2 and n >= 2, got m={m}, n={n}")
+    d = m * n
     out: list[tuple[Inertia, State]] = []
     for k in range(1, n):
         seed = chain_seed(n, k)
-        liftable = ([(0, j) for j in range(k + 1, n)]
-                    + [(1, j) for j in range(k + 1, n)]
-                    + [(2, j) for j in range(n)])
-        width = 3 * n - 2 * k - 2
+        liftable = [(i, t) for i in range(m) for t in range(n) if i >= 2 or t > k]
+        width = d - 2 * k - 2
         assert len(liftable) == width
-        base = np.zeros((3 * n, 3 * n), dtype=complex)
+        base = np.zeros((d, d), dtype=complex)
         base[:2 * n, :2 * n] = seed.mat
         for j in range(width + 1):
             mat = base.copy()
-            for i, jj in liftable[:j]:
-                mat[i * n + jj, i * n + jj] += eps
-            state = State(3, n, mat)
-            want = Inertia(k, 3 * n - 2 * k - 2 - j, k + 2 + j)
+            for i, t in liftable[:j]:
+                mat[i * n + t, i * n + t] += eps
+            state = State(m, n, mat)
+            want = Inertia(k, d - 2 * k - 2 - j, k + 2 + j)
             got = pt_inertia(state, tol_zero)
             if got != want:
                 raise RuntimeError(f"family row k={k}, j={j}: got {got}, wanted {want}")
             out.append((want, state))
-    assert len(out) == (n - 1) * (2 * n - 1)
+    assert len(out) == (n - 1) * (d - n - 1)
     return out

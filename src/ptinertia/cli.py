@@ -47,6 +47,14 @@ def _parse_alarms(text: str) -> list[Inertia]:
     return out
 
 
+def _write_matrix(out, mat, m: int, n: int, exact) -> None:
+    """Matrix-file text to the path `out`, or to stdout when it is unset."""
+    if out:
+        matio.save_matrix(out, mat, m, n, exact)
+    else:
+        sys.stdout.write(matio.dumps_matrix(mat, m, n, exact))
+
+
 def cmd_inertia(args) -> int:
     mf = matio.load_matrix(args.file)
     if args.exact:
@@ -72,12 +80,7 @@ def cmd_pt(args) -> int:
         return 2
     gamma = pt_array(mf.mat, mf.m, mf.n)
     exact = pt_array(mf.exact, mf.m, mf.n) if mf.exact is not None else None
-    text = matio.dumps_matrix(gamma, mf.m, mf.n, exact)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_matrix(args.out, gamma, mf.m, mf.n, exact)
     return 0
 
 
@@ -116,12 +119,7 @@ def cmd_catalog(args) -> int:
             return 2
         state = catalog.build(args.id)
         exact = catalog.build_exact(args.id)
-        text = matio.dumps_matrix(state.mat, state.m, state.n, exact)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_matrix(args.out, state.mat, state.m, state.n, exact)
         return 0
     raise AssertionError(f"unhandled catalog action {args.action!r}")
 
@@ -145,6 +143,8 @@ def cmd_table(args) -> int:
 def cmd_verify_ew(args) -> int:
     if args.restarts < 0:
         raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     mf = matio.load_matrix(args.file)
     if not mf.bipartite:
         print("error: witness check needs a bipartite header", file=sys.stderr)

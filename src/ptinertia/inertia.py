@@ -71,10 +71,6 @@ def shift_identity(state: State, tol_zero: float = TOL_ZERO) -> tuple[State, flo
     return State(state.m, state.n, state.mat + x * np.eye(state.dim)), x
 
 
-def _outside_basis(m1: int, n1: int, m2: int, n2: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m2) for j in range(n2) if i >= m1 or j >= n1]
-
-
 def embed(state: State, m2: int, n2: int, lift: int, *,
           lift_kernel: bool = True, tol_zero: float = TOL_ZERO) -> State:
     """Embed a state on (m1,n1) into (m2,n2), lifting `lift` new basis states.
@@ -113,22 +109,19 @@ def embed(state: State, m2: int, n2: int, lift: int, *,
     else:
         expected = Inertia(a, b + extra - lift, c + lift)
 
-    outside = _outside_basis(m1, n1, m2, n2)
+    block = np.zeros((m2 * n2, m2 * n2), dtype=complex)
+    block.reshape(m2, n2, m2, n2)[:m1, :n1, :m1, :n1] = state.mat.reshape(m1, n1, m1, n1)
+    # the first `lift` outside states, plus the block's own diagonal when its
+    # zeros are lifted (without disturbing signs); the indices are disjoint,
+    # so the fancy += below adds eps once to each
+    lifted = [i * n2 + j for i in range(m2) for j in range(n2)
+              if i >= m1 or j >= n1][:lift]
+    if lift_kernel and b > 0:
+        lifted += [i * n2 + j for i in range(m1) for j in range(n1)]
     eps = eps0
     for _ in range(11):
-        big = np.zeros((m2 * n2, m2 * n2), dtype=complex)
-        for bigi in range(m1 * n1):
-            i, k = divmod(bigi, n1)
-            for bigj in range(m1 * n1):
-                j, l = divmod(bigj, n1)
-                big[i * n2 + k, j * n2 + l] = state.mat[bigi, bigj]
-        if lift_kernel and b > 0:
-            # lift in-block zeros without disturbing signs
-            for i in range(m1):
-                for k in range(n1):
-                    big[i * n2 + k, i * n2 + k] += eps
-        for i, j in outside[:lift]:
-            big[i * n2 + j, i * n2 + j] += eps
+        big = block.copy()
+        big[lifted, lifted] += eps
         out = State(m2, n2, big)
         got, marginal = pt_inertia(out, tol_zero, with_flag=True)
         if got == expected and not marginal:

@@ -5,6 +5,11 @@ with 1 <= v_minus <= (m-1)(n-1) and v_plus >= 3 (the generic witness bounds);
 triples outside the universe are excluded a priori and not listed.  Within
 the universe each triple is classified realized (with a live witness),
 forbidden (with the exclusion reason), or open.
+
+The 3x3 report takes its witnesses from the catalog's arr13_* entries.
+Every other report, 2xN and 3xN alike, takes them from one builder,
+catalog.lemma3n_family(n, m=m): 2 x n chain seeds with j product basis
+states lifted.  table1_report verifies every edge it lists on its state.
 """
 
 from __future__ import annotations
@@ -57,30 +62,14 @@ def _verify_witness(state: State, want: Inertia, desc: str, tol_zero: float) -> 
         raise RuntimeError(f"witness {desc} produced {got}, expected {want}")
 
 
-def _realized_2n(n: int, tol_zero: float) -> dict[Inertia, str]:
-    """Chain seeds plus partial kernel lifts realize (k, 2n-2k-2-s, k+2+s)."""
-    realized: dict[Inertia, str] = {}
-    for k in range(1, n):
-        seed = catalog.chain_seed(n, k)
-        kernel_states = [(0, j) for j in range(k + 1, n)] + [(1, j) for j in range(k + 1, n)]
-        for s in range(len(kernel_states) + 1):
-            mat = seed.mat.copy()
-            for i, j in kernel_states[:s]:
-                mat[i * n + j, i * n + j] += 0.125
-            state = State(2, n, mat)
-            want = Inertia(k, 2 * n - 2 * k - 2 - s, k + 2 + s)
-            desc = f"chain_seed(n={n}, k={k}) with {s} kernel states lifted"
-            _verify_witness(state, want, desc, tol_zero)
-            realized[want] = desc
-    return realized
-
-
 def inertia_table(m: int, n: int, tol_zero: float = TOL_ZERO) -> InertiaSetReport:
     """Realized/forbidden/open classification for PT inertias of (m,n) states.
 
     Supported dims: (2,n) for n >= 2 and (3,n) for n >= 2 (which covers the
     fully worked (2,2), (2,3) and (3,3) cases).  Every realized triple is
-    re-certified by running its witness construction now.
+    re-certified by running its witness construction now.  For (2,n) with
+    n <= 3 the unrealized triples are forbidden by the complete 2xN
+    classification; elsewhere, outside (3,3), they are open.
     """
     if m > n:
         m, n = n, m  # inertia sets are symmetric under system swap
@@ -101,25 +90,21 @@ def inertia_table(m: int, n: int, tol_zero: float = TOL_ZERO) -> InertiaSetRepor
         forbidden = dict(FORBIDDEN_33)
         open_set = set(OPEN_33)
         report = InertiaSetReport((3, 3), realized, forbidden, open_set)
-    elif m == 2:
-        realized = _realized_2n(n, tol_zero)
+    else:
+        desc = ("chain_seed(n={n}, k={t.neg}) with {lifted} kernel states lifted"
+                if m == 2 else "3xN chain family witness for {t}")
+        realized = {t: desc.format(n=n, t=t, lifted=t.pos - t.neg - 2)
+                    for t, _state in catalog.lemma3n_family(n, tol_zero=tol_zero, m=m)}
         forbidden = {}
         open_set = set()
         for triple in universe:
             if triple in realized:
                 continue
-            if n <= 3:
+            if m == 2 and n <= 3:
                 forbidden[triple] = "complete classification of 2xN inertias for N <= 3"
             else:
                 open_set.add(triple)
-        report = InertiaSetReport((2, n), realized, forbidden, open_set)
-    else:
-        realized = {}
-        for want, _state in catalog.lemma3n_family(n, tol_zero=tol_zero):
-            realized.setdefault(want, f"3xN chain family witness for {want}")
-        forbidden = {}
-        open_set = {t for t in universe if t not in realized}
-        report = InertiaSetReport((3, n), realized, forbidden, open_set)
+        report = InertiaSetReport((m, n), realized, forbidden, open_set)
 
     missing = [t for t in report.realized if t not in universe]
     if missing:
@@ -146,13 +131,13 @@ def table1_report(tol_zero: float = TOL_ZERO) -> dict[Inertia, list[TableEdge]]:
     embeddings (with and without kernel lifting); (1,1,4) pairs with the
     (3,0,6) family; (2,0,4) feeds the four v_minus=2 triples through
     embeddings and pairs with the (3,1,5) and (4,0,5) families.  Every edge
-    is re-verified on the spot.
+    is re-verified on the spot: an embedding edge on its embedded state, a
+    paired-family edge on the target family's catalog state.
     """
     groups: dict[Inertia, list[TableEdge]] = {}
 
-    def add_edge(source, state_or_result, target, how):
-        if isinstance(state_or_result, State):
-            _verify_witness(state_or_result, target, how, tol_zero)
+    def add_edge(source, state, target, how):
+        _verify_witness(state, target, how, tol_zero)
         groups.setdefault(source, []).append(TableEdge(source, target, how))
 
     # group (1,2,3): pure Schmidt-rank-2 seed
@@ -169,8 +154,8 @@ def table1_report(tol_zero: float = TOL_ZERO) -> dict[Inertia, list[TableEdge]]:
     # group (1,1,4): paired families
     src = Inertia(1, 1, 4)
     _verify_witness(catalog.build("arr23_xi"), src, "arr23_xi", tol_zero)
-    _verify_witness(catalog.build("arr13_xi"), Inertia(3, 0, 6), "arr13_xi", tol_zero)
-    add_edge(src, None, Inertia(3, 0, 6), "paired family arr23_xi -> arr13_xi")
+    add_edge(src, catalog.build("arr13_xi"), Inertia(3, 0, 6),
+             "paired family arr23_xi -> arr13_xi")
 
     # group (2,0,4): embeddings plus paired families
     src = Inertia(2, 0, 4)
@@ -179,9 +164,9 @@ def table1_report(tol_zero: float = TOL_ZERO) -> dict[Inertia, list[TableEdge]]:
     for lift, target in [(0, (2, 3, 4)), (1, (2, 2, 5)), (2, (2, 1, 6)), (3, (2, 0, 7))]:
         state = embed(seed, 3, 3, lift, tol_zero=tol_zero)
         add_edge(src, state, Inertia(*target), f"embed(lift={lift})")
-    _verify_witness(catalog.build("arr13_xii"), Inertia(3, 1, 5), "arr13_xii", tol_zero)
-    add_edge(src, None, Inertia(3, 1, 5), "paired family arr23_xii -> arr13_xii")
-    _verify_witness(catalog.build("arr13_xiii"), Inertia(4, 0, 5), "arr13_xiii", tol_zero)
-    add_edge(src, None, Inertia(4, 0, 5), "paired family arr23_xiii -> arr13_xiii")
+    add_edge(src, catalog.build("arr13_xii"), Inertia(3, 1, 5),
+             "paired family arr23_xii -> arr13_xii")
+    add_edge(src, catalog.build("arr13_xiii"), Inertia(4, 0, 5),
+             "paired family arr23_xiii -> arr13_xiii")
 
     return groups

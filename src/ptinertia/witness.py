@@ -59,8 +59,12 @@ def min_product_expectation(w: np.ndarray, m: int, n: int,
     and symmetrically for a, each contracted from W[i, j, k, l] = <i,j|W|k,l>.
     Each restart draws its own generator from (seed, restart index), so the
     result is deterministic and independent of evaluation order.  The value
-    is an upper bound on the true minimum.
+    is an upper bound on the true minimum.  restarts and iter_cap must be at
+    least 1; with either at 0 no product vector would be tried.
     """
+    if restarts < 1 or iter_cap < 1:
+        raise ValueError(f"restarts and iter_cap must be >= 1, "
+                         f"got restarts={restarts}, iter_cap={iter_cap}")
     w = np.asarray(w, dtype=complex)
     require_hermitian(w)
     if w.shape != (m * n, m * n):

@@ -139,20 +139,26 @@ def test_chain_seed_bounds():
         chain_seed(3, 3)
 
 
-@pytest.mark.parametrize("n,count", [(2, 3), (3, 10), (4, 21)])
-def test_lemma3n_family_counts(n, count):
-    family = lemma3n_family(n)
-    assert len(family) == count == (n - 1) * (2 * n - 1)
+@pytest.mark.parametrize("n,count,m", [
+    (2, 3, 3), (3, 10, 3), (4, 21, 3),
+    (2, 1, 2), (3, 4, 2), (4, 9, 2),
+], ids=["2-3", "3-10", "4-21", "m2-2-1", "m2-3-4", "m2-4-9"])
+def test_lemma3n_family_counts(n, count, m):
+    family = lemma3n_family(n, m=m)
+    assert len(family) == count == (n - 1) * (m * n - n - 1)
     triples = {tuple(t) for t, _ in family}
     assert len(triples) == count
     for k in range(1, n):
-        for j in range(3 * n - 2 * k - 1):
-            assert (k, 3 * n - 2 * k - 2 - j, k + 2 + j) in triples
+        for j in range(m * n - 2 * k - 1):
+            assert (k, m * n - 2 * k - 2 - j, k + 2 + j) in triples
+    assert all((state.m, state.n) == (m, n) for _, state in family)
 
 
 def test_lemma3n_rejects_small_n():
     with pytest.raises(ValueError):
         lemma3n_family(1)
+    with pytest.raises(ValueError):
+        lemma3n_family(3, m=1)
 
 
 def test_expected_inertia_accessor():

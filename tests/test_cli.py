@@ -224,6 +224,7 @@ def test_search_and_replay_exit_codes(search_logs, capsys, argv, expected):
     (None, ["inertia", "--file", "{dir}/zero_denominator.txt"]),
     (None, ["inertia", "--file", "{dir}/negative_dims.txt"]),
     (None, ["verify-ew", "--file", "{dir}/eye.txt", "--restarts", "-1"]),
+    (None, ["verify-ew", "--file", "{dir}/eye.txt", "--restarts", "2", "--seed", "-1"]),
 ])
 def test_invalid_tolerances_and_entries_exit_2(tmp_path, capsys, monkeypatch, env, argv):
     matio.save_matrix(tmp_path / "eye.txt", np.eye(4), 2, 2)

@@ -42,6 +42,13 @@ def test_table_2x5_has_open_corner():
     assert Inertia(1, 6, 3) in report.realized
 
 
+def test_chain_family_witness_descriptions():
+    row_2n = inertia_table(2, 4).realized[Inertia(1, 3, 4)]
+    assert row_2n == "chain_seed(n=4, k=1) with 1 kernel states lifted"
+    row_3n = inertia_table(3, 4).realized[Inertia(2, 3, 7)]
+    assert row_3n == "3xN chain family witness for (2,3,7)"
+
+
 def test_table_dims_symmetry_and_errors():
     assert inertia_table(3, 2).realized == inertia_table(2, 3).realized
     with pytest.raises(ValueError):

@@ -157,3 +157,11 @@ def test_product_minimum_bounded_by_state_spectrum(seed, dims, rank, ensemble):
     value, _ = min_product_expectation(partial_transpose(rho), m, n,
                                        restarts=2, seed=seed)
     assert value >= np.linalg.eigvalsh(rho.mat)[0] - 1e-9
+
+
+@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1}, {"iter_cap": 0}])
+def test_min_product_rejects_empty_search(kwargs):
+    # with no restart or no iteration no product vector is tried, and the
+    # old (inf, None) result claimed a minimum of +inf for -I
+    with pytest.raises(ValueError, match="restarts and iter_cap must be >= 1"):
+        min_product_expectation(-np.eye(4), 2, 2, **kwargs)
