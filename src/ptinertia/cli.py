@@ -34,7 +34,8 @@ def _fmt(triple: Inertia) -> str:
     return f"{triple.neg} {triple.zero} {triple.pos}"
 
 
-def _parse_alarms(text: str) -> list[Inertia]:
+def _parse_alarms(text: str, dim: int) -> list[Inertia]:
+    """Alarm triples "(neg,zero,pos);..." of a dim x dim PT; an impossible one is an error."""
     out = []
     for chunk in text.split(";"):
         chunk = chunk.strip().strip("()")
@@ -43,6 +44,8 @@ def _parse_alarms(text: str) -> list[Inertia]:
         parts = [int(p) for p in chunk.split(",")]
         if len(parts) != 3:
             raise ValueError(f"alarm triple must have three entries: {chunk!r}")
+        if min(parts) < 0 or sum(parts) != dim:
+            raise ValueError(f"alarm triple ({chunk}) must be >= 0 and sum to {dim}")
         out.append(Inertia(*parts))
     return out
 
@@ -170,7 +173,7 @@ def cmd_search(args) -> int:
                               ranks=tuple(args.ranks), ensemble=args.ensemble,
                               samples=args.samples, seed=args.seed,
                               workers=args.workers, tol_zero=args.tol)
-    alarms = _parse_alarms(args.alarm) if args.alarm else []
+    alarms = _parse_alarms(args.alarm, cfg.m * cfg.n) if args.alarm else []
     record = search.run_search(cfg, alarms)
     for triple, count in sorted(record.counts.items(),
                                 key=lambda kv: (-kv[1], kv[0])):

@@ -4,7 +4,10 @@ Matrices with entries in Q(i) admit an exact signature via symmetric Gaussian
 elimination with 1x1 and 2x2 diagonal pivoting: every congruence step is
 performed over the rationals, so the resulting triple carries no floating
 point uncertainty.  This is the certification path backing the float
-eigenvalue route.
+eigenvalue route.  The elimination holds each row as a dict of its nonzero
+entries and does arithmetic only where both factors of an update are
+nonzero, so a sparse partial transpose (the chain-family witnesses have a
+few percent nonzeros) costs a fraction of a dense one of the same size.
 
 An exact matrix (ExactMatrix) is a numpy ``dtype=object`` array of
 GaussianRational, so numpy's own operations serve it: states.pt_array is its
@@ -102,7 +105,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its Fraction (and int), so it must hash like one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -124,6 +128,50 @@ def exact_is_hermitian(mat) -> bool:
     return all(mat[i][j] == mat[j][i].conjugate() for i in range(d) for j in range(i, d))
 
 
+def _sparse_rows(mat) -> list[dict[int, GaussianRational]]:
+    """Row i of a square Hermitian mat as {j: entry} over its nonzero entries."""
+    cells = mat.tolist() if isinstance(mat, np.ndarray) else mat
+    if any(len(row) != len(cells) for row in cells):
+        raise ValueError("exact_inertia requires an exactly Hermitian matrix")
+    coerce = GaussianRational.coerce
+    zero = None  # exact matrices share one zero object; skip it by identity
+    rows = []
+    for row in cells:
+        nonzeros = {}
+        for j, x in enumerate(row):
+            if x is zero:
+                continue
+            if x:
+                nonzeros[j] = coerce(x)
+            else:
+                coerce(x)  # a float zero is rejected like any float
+                zero = x
+        rows.append(nonzeros)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            y = rows[j].get(i)
+            if y is x and not x.im:
+                continue  # a shared real entry is its own conjugate
+            if y is None or x.re != y.re or x.im != -y.im:
+                raise ValueError("exact_inertia requires an exactly Hermitian matrix")
+    return rows
+
+
+def _sub_scaled(row: dict, coeff: GaussianRational, other: dict) -> None:
+    """row -= coeff * other on other's nonzeros, deleting entries that cancel to 0."""
+    minus = -coeff
+    for j, x in other.items():
+        v = row.get(j)
+        if v is None:
+            row[j] = minus * x  # a product of nonzeros is nonzero
+        else:
+            v = v + minus * x
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
+
 def exact_inertia(mat) -> Inertia:
     """Signature of an exactly Hermitian matrix over Q(i).
 
@@ -134,64 +182,56 @@ def exact_inertia(mat) -> Inertia:
     survives, the 2x2 block [[0, a], [a*, 0]] is indefinite and contributes
     one positive and one negative count.  Each step is a congruence, so
     Sylvester's law makes the tally exact.
-    """
-    # the elimination works on a private list-of-lists copy
-    a = [[GaussianRational.coerce(x) for x in row] for row in mat]
-    if any(len(row) != len(a) for row in a) or not exact_is_hermitian(a):
-        raise ValueError("exact_inertia requires an exactly Hermitian matrix")
-    active = list(range(len(a)))
-    neg = pos = 0
 
+    The elimination is sparse: row i is a dict {j: a_ij} of its nonzero
+    entries, a Schur update only touches pairs (i, j) whose two pivot-column
+    entries are nonzero, and an entry that cancels to an exact zero is
+    deleted.  A row that empties is done: it is one zero eigenvalue.  The
+    pivot is the nonzero diagonal entry whose row has the fewest nonzeros,
+    which limits fill-in; Sylvester's law makes the triple independent of
+    that order.
+    """
+    rows = _sparse_rows(mat)
+    active = {i for i, row in enumerate(rows) if row}
+    neg = pos = 0
     while active:
-        # prefer the diagonal entry of largest magnitude to limit coefficient blowup
-        pivot = None
-        pivot_mag = Fraction(0)
-        for p in active:
-            mag = abs(a[p][p].re)
-            if mag > pivot_mag:
-                pivot, pivot_mag = p, mag
+        pivot = min((p for p in active if p in rows[p]), key=lambda p: len(rows[p]),
+                    default=None)
         if pivot is not None:
-            d = a[pivot][pivot]
+            prow = rows[pivot]
+            d = prow.pop(pivot)
+            active.discard(pivot)
             if d.re > 0:
                 pos += 1
             else:
                 neg += 1
-            active.remove(pivot)
-            cols = {i: a[i][pivot] for i in active}
-            for i in active:
-                if not cols[i]:
-                    continue
-                ratio = cols[i] / d
-                for j in active:
-                    a[i][j] = a[i][j] - ratio * cols[j].conjugate()
+            # a_ij -= a_ip a_pj / d, with a_ip = conj(a_pi)
+            for i, a_pi in prow.items():
+                ri = rows[i]
+                del ri[pivot]
+                _sub_scaled(ri, a_pi.conjugate() / d, prow)
+                if not ri:
+                    active.discard(i)
             continue
-
-        off = None
-        for ii, p in enumerate(active):
-            for q in active[ii + 1:]:
-                if a[p][q]:
-                    off = (p, q)
-                    break
-            if off:
-                break
-        if off is None:
-            break  # active block is identically zero; the rest are zero eigenvalues
-        p, q = off
-        piv = a[p][q]
+        p = min(active, key=lambda i: len(rows[i]))
+        prow = rows[p]
+        q = next(iter(prow))
+        qrow = rows[q]
+        piv = prow.pop(q)
+        del qrow[p]
+        active -= {p, q}
         pos += 1
         neg += 1
-        active.remove(p)
-        active.remove(q)
-        # Schur complement against [[0, piv], [piv*, 0]]
-        up = {i: a[i][p] for i in active}
-        vq = {i: a[i][q] for i in active}
-        for i in active:
-            if not up[i] and not vq[i]:
-                continue
-            for j in active:
-                corr = up[i] * (vq[j].conjugate() / piv.conjugate()) + vq[i] * (
-                    up[j].conjugate() / piv
-                )
-                a[i][j] = a[i][j] - corr
-
-    return Inertia(neg, len(a) - neg - pos, pos)
+        # Schur complement against [[0, piv], [piv*, 0]]:
+        # a_ij -= conj(a_pi / piv) a_qj + conj(a_qi / piv*) a_pj
+        for i in prow.keys() | qrow.keys():
+            ri = rows[i]
+            ri.pop(p, None)
+            ri.pop(q, None)
+            if i in prow:
+                _sub_scaled(ri, (prow[i] / piv).conjugate(), qrow)
+            if i in qrow:
+                _sub_scaled(ri, (qrow[i] / piv.conjugate()).conjugate(), prow)
+            if not ri:
+                active.discard(i)
+    return Inertia(neg, len(rows) - neg - pos, pos)

@@ -243,7 +243,7 @@ def run_search(cfg: SearchConfig,
     spans = [(cfg, lo, min(lo + 4 * CHUNK, cfg.samples), alarm_set)
              for lo in range(0, cfg.samples, 4 * CHUNK)]
     if cfg.workers > 1 and len(spans) > 1:
-        with Pool(cfg.workers) as pool:
+        with Pool(min(cfg.workers, len(spans))) as pool:
             parts = pool.map(_scan_star, spans)
     else:
         parts = [_scan_range(*span) for span in spans]

@@ -197,6 +197,11 @@ SEARCH = ["search", "--dims", "3", "3", "--ranks", "2,3", "--samples", "50"]
     (["replay", "--log", "{dir}/malformed.log"], 2),
     (["replay", "--log", "{dir}/empty.log"], 2),
     (["replay", "--log", "{dir}/missing.log"], 2),
+    (["search", "--dims", "3", "3", "--alarm", "(-1,5,5);(9,9,9)"], 2),
+    (SEARCH + ["--alarm", "(-1,5,5)"], 2),
+    (SEARCH + ["--alarm", "(3,0,6);(9,9,9)"], 2),
+    (SEARCH + ["--alarm", "(3,0,5)"], 2),
+    (SEARCH + ["--alarm", "(3,0,6);(0,0,9)"], 0),
 ])
 def test_search_and_replay_exit_codes(search_logs, capsys, argv, expected):
     code, _, err = run(capsys, *(a.format(dir=search_logs) for a in argv))

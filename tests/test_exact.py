@@ -30,6 +30,9 @@ def test_division_by_zero():
 def test_coerce_rejects_floats():
     with pytest.raises(TypeError):
         G.coerce(0.5)
+    for mat in ([[1, 0.0], [0.0, 1]], [[0.5]]):
+        with pytest.raises(TypeError):
+            exact_inertia(mat)
 
 
 def test_exact_inertia_identity():
@@ -45,6 +48,43 @@ def test_exact_inertia_rejects_non_hermitian():
     mat = [[G(0), G(1)], [G(2), G(0)]]
     with pytest.raises(ValueError):
         exact_inertia(mat)
+
+
+@pytest.mark.parametrize("mat", [
+    [[G(1), G(0)], [G(0)]],  # ragged
+    np.array([[G(1), G(0), G(0)], [G(0), G(1), G(0)]], dtype=object),  # 2x3
+    [[G(1), G(0)], [G(0, 1), G(1)]],  # a nonzero entry whose mirror is zero
+    [[G(0, 1)]],  # a non-real diagonal
+    [[G(0), G(1, 1)], [G(1, 1), G(0)]],  # symmetric but not Hermitian
+])
+def test_exact_inertia_rejects_non_square_and_non_hermitian(mat):
+    with pytest.raises(ValueError, match="exact_inertia requires an exactly Hermitian matrix"):
+        exact_inertia(mat)
+
+
+def test_exact_inertia_accepts_ints_and_fractions():
+    mat = [[2, Fraction(1, 2), 0], [Fraction(1, 2), 0, 0], [0, 0, 0]]
+    assert exact_inertia(mat) == Inertia(1, 1, 1)
+    assert exact_inertia(np.array(mat, dtype=object)) == Inertia(1, 1, 1)
+    assert exact_inertia([]) == Inertia(0, 0, 0)
+
+
+def test_exact_inertia_on_cancelling_and_zero_diagonal_input():
+    # the pivot 1 turns the lower block [[1, 1], [1, 1]] into exact zeros
+    mat = [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
+    assert exact_inertia(mat) == Inertia(0, 2, 1)
+    # a zero diagonal everywhere leaves only 2x2 pivots
+    swap = [[0, 0, 0, G(0, 1)], [0, 0, 3, 0], [0, 3, 0, 0], [G(0, -1), 0, 0, 0]]
+    assert exact_inertia(swap) == Inertia(2, 0, 2)
+
+
+def test_hash_agrees_with_eq():
+    for value in (0, 1, -3, 10**30, Fraction(1, 2), Fraction(-7, 3)):
+        assert G(value) == value and hash(G(value)) == hash(value)
+    assert len({1, G(1)}) == len({Fraction(1, 2), G(Fraction(1, 2))}) == 1
+    z = G(Fraction(1, 2), -2)
+    assert z == G(Fraction(2, 4), Fraction(-4, 2)) and hash(z) == hash(G(Fraction(2, 4), -2))
+    assert len({z, z.conjugate(), Fraction(1, 2)}) == 3
 
 
 def test_exact_pt_of_rank2_pure():
@@ -74,6 +114,75 @@ def test_exact_dm_is_psd_mixture():
     assert exact_is_hermitian(rho)
     ine = exact_inertia(rho)
     assert ine.neg == 0 and ine.pos == 1
+
+
+def dense_elimination_inertia(mat) -> Inertia:
+    """Oracle: dense symmetric elimination with 1x1 and 2x2 pivots.
+
+    It updates every active (i, j) pair at each pivot and picks the diagonal
+    entry of largest magnitude, so it shares no pivot order and no sparse
+    bookkeeping with exact_inertia.
+    """
+    # the elimination works on a private list-of-lists copy
+    a = [[GaussianRational.coerce(x) for x in row] for row in mat]
+    if any(len(row) != len(a) for row in a) or not exact_is_hermitian(a):
+        raise ValueError("exact_inertia requires an exactly Hermitian matrix")
+    active = list(range(len(a)))
+    neg = pos = 0
+
+    while active:
+        # prefer the diagonal entry of largest magnitude to limit coefficient blowup
+        pivot = None
+        pivot_mag = Fraction(0)
+        for p in active:
+            mag = abs(a[p][p].re)
+            if mag > pivot_mag:
+                pivot, pivot_mag = p, mag
+        if pivot is not None:
+            d = a[pivot][pivot]
+            if d.re > 0:
+                pos += 1
+            else:
+                neg += 1
+            active.remove(pivot)
+            cols = {i: a[i][pivot] for i in active}
+            for i in active:
+                if not cols[i]:
+                    continue
+                ratio = cols[i] / d
+                for j in active:
+                    a[i][j] = a[i][j] - ratio * cols[j].conjugate()
+            continue
+
+        off = None
+        for ii, p in enumerate(active):
+            for q in active[ii + 1:]:
+                if a[p][q]:
+                    off = (p, q)
+                    break
+            if off:
+                break
+        if off is None:
+            break  # active block is identically zero; the rest are zero eigenvalues
+        p, q = off
+        piv = a[p][q]
+        pos += 1
+        neg += 1
+        active.remove(p)
+        active.remove(q)
+        # Schur complement against [[0, piv], [piv*, 0]]
+        up = {i: a[i][p] for i in active}
+        vq = {i: a[i][q] for i in active}
+        for i in active:
+            if not up[i] and not vq[i]:
+                continue
+            for j in active:
+                corr = up[i] * (vq[j].conjugate() / piv.conjugate()) + vq[i] * (
+                    up[j].conjugate() / piv
+                )
+                a[i][j] = a[i][j] - corr
+
+    return Inertia(neg, len(a) - neg - pos, pos)
 
 
 def charpoly_inertia(mat) -> Inertia:
@@ -158,3 +267,53 @@ def gaussian_rational_hermitians(draw):
 def test_exact_inertia_matches_the_charpoly_oracle(mat):
     assert exact_is_hermitian(mat)
     assert exact_inertia(mat) == charpoly_inertia(mat)
+
+
+_sparse_entries = st.one_of(st.just(G(0)), st.just(G(0)), _gaussian_rationals)
+
+
+@st.composite
+def sparse_gaussian_rational_hermitians(draw):
+    """Sparse Hermitian matrices over Q(i) with d <= 10, in four shapes:
+    - block_permuted: Hermitian blocks on the diagonal, then one permutation
+      of rows and columns, so nonzeros sit off the band;
+    - zero_rows: some rows and their columns are identically zero;
+    - zero_diagonal: no 1x1 pivot exists until a 2x2 pivot has run;
+    - cancelling: a sum of r < d signed projectors onto sparse vectors, so
+      after r pivots every Schur update cancels to an exact zero."""
+    d = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["block_permuted", "zero_rows", "zero_diagonal", "cancelling"]))
+    if kind == "cancelling":
+        r = draw(st.integers(0, d - 1))
+        vecs = [[draw(_sparse_entries) for _ in range(d)] for _ in range(r)]
+        signs = [draw(st.sampled_from([-1, 1])) for _ in range(r)]
+        return [[sum((s * v[i] * v[j].conjugate() for s, v in zip(signs, vecs)), G(0))
+                 for j in range(d)] for i in range(d)]
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1), max_size=3))) if d > 1 else []
+    block = {i: sum(i >= c for c in cuts) for i in range(d)}
+    mat = [[G(0)] * d for _ in range(d)]
+    for i in range(d):
+        if kind != "zero_diagonal":
+            mat[i][i] = draw(st.one_of(st.just(G(0)), st.builds(G, _small_rationals)))
+        for j in range(i + 1, d):
+            if kind != "block_permuted" or block[i] == block[j]:
+                mat[i][j] = draw(_sparse_entries)
+                mat[j][i] = mat[i][j].conjugate()
+    if kind == "zero_rows":
+        for k in draw(st.sets(st.integers(0, d - 1), max_size=d // 2)):
+            for i in range(d):
+                mat[k][i] = mat[i][k] = G(0)
+    if kind == "block_permuted":
+        perm = draw(st.permutations(range(d)))
+        mat = [[mat[perm[i]][perm[j]] for j in range(d)] for i in range(d)]
+    return mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_gaussian_rational_hermitians())
+def test_sparse_elimination_matches_the_dense_oracle(mat):
+    assert exact_is_hermitian(mat)
+    got = exact_inertia(mat)
+    assert got == dense_elimination_inertia(mat)
+    if len(mat) <= 6:
+        assert got == charpoly_inertia(mat)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -6,6 +7,7 @@ import pytest
 
 from ptinertia import (Inertia, SearchConfig, pt_inertia, random_state, replay,
                        run_search)
+from ptinertia import search
 from ptinertia.search import (BLOCK, Alarm, SearchRecord, _scan_range,
                               append_record, load_records)
 
@@ -24,6 +26,29 @@ def test_worker_count_does_not_change_the_record():
     rec2 = run_search(SearchConfig(workers=3, **base), ALARUM)
     assert rec1.payload() == rec2.payload()
     assert rec1.config_hash == rec2.config_hash
+
+
+def test_pool_is_no_larger_than_the_span_count(monkeypatch):
+    sizes = []
+
+    class InlinePool:  # records the requested size and maps in this process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    cfg = SearchConfig(m=2, n=2, ranks=(2,), samples=4 * search.CHUNK + 1, seed=4)
+    want = run_search(cfg).payload()
+    monkeypatch.setattr(search, "Pool", InlinePool)
+    assert run_search(dataclasses.replace(cfg, workers=8)).payload() == want
+    assert sizes == [2]  # two spans, so two processes, not eight
 
 
 def test_counts_plus_marginal_equals_samples():
