@@ -523,7 +523,7 @@ def chain_seed(n: int, k: int) -> State:
     return dm_from_kets(kets, [1.0] * k, 2, n)
 
 
-def lemma3n_family(n: int, eps: float = 0.125, tol_zero: float = TOL_ZERO, *,
+def lemma3n_family(n: int, tol_zero: float = TOL_ZERO, *,
                    m: int = 3) -> list[tuple[Inertia, State]]:
     """(n-1)(mn-n-1) verified inertias on (m, n), built from 2 x n chain seeds.
 
@@ -531,7 +531,7 @@ def lemma3n_family(n: int, eps: float = 0.125, tol_zero: float = TOL_ZERO, *,
     inertia tables.  Row k (1 <= k <= n-1) puts chain_seed(n, k) on A-levels
     0 and 1 and lifts j of the product basis states outside its support (the
     seed's own kernel states |0,t>, |1,t> for t > k, then every state with
-    A-level >= 2) by eps on the diagonal, sweeping
+    A-level >= 2) by 0.125 on the diagonal, sweeping
 
         (k, mn-2k-2-j, k+2+j)   for 0 <= j <= mn-2k-2.
 
@@ -551,7 +551,7 @@ def lemma3n_family(n: int, eps: float = 0.125, tol_zero: float = TOL_ZERO, *,
         for j in range(width + 1):
             mat = base.copy()
             for i, t in liftable[:j]:
-                mat[i * n + t, i * n + t] += eps
+                mat[i * n + t, i * n + t] += 0.125
             state = State(m, n, mat)
             want = Inertia(k, d - 2 * k - 2 - j, k + 2 + j)
             got = pt_inertia(state, tol_zero)

@@ -123,11 +123,6 @@ class GaussianRational:
 ExactMatrix = np.ndarray
 
 
-def exact_is_hermitian(mat) -> bool:
-    d = len(mat)
-    return all(mat[i][j] == mat[j][i].conjugate() for i in range(d) for j in range(i, d))
-
-
 def _sparse_rows(mat) -> list[dict[int, GaussianRational]]:
     """Row i of a square Hermitian mat as {j: entry} over its nonzero entries."""
     cells = mat.tolist() if isinstance(mat, np.ndarray) else mat

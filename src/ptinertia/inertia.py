@@ -140,14 +140,13 @@ class UpdateOutcome(NamedTuple):
 
 
 def rank_one_update_check(state: State, a_vec: np.ndarray, b_vec: np.ndarray,
-                          tol_zero: float = TOL_ZERO,
-                          range_tol: float = 1e-8) -> UpdateOutcome:
+                          tol_zero: float = TOL_ZERO) -> UpdateOutcome:
     """Check the rank-one-update trichotomy for PT plus a product projector.
 
     Writes the PT as P - Q (orthogonal positive/negative parts with ranks
     p, q read off the spectrum at tol_zero) and requires |a,b> to lie in the
-    range of the PT.  Adding |a,b><a,b| must land on one of three triples,
-    with d the total dimension:
+    range of the PT, to a relative residual of 1e-8.  Adding |a,b><a,b| must
+    land on one of three triples, with d the total dimension:
 
         case 1: (q,     d - p - q,     p)
         case 2: (q - 1, d - p - q,     p + 1)
@@ -169,7 +168,7 @@ def rank_one_update_check(state: State, a_vec: np.ndarray, b_vec: np.ndarray,
         raise ValueError("product vector must be nonzero")
     support = dec.vectors[:, np.abs(dec.values) > tau]
     resid = np.linalg.norm(ab - support @ (support.conj().T @ ab)) / norm
-    if resid > range_tol:
+    if resid > 1e-8:
         raise ValueError(
             f"|a,b> is not in the range of the partial transpose (residual {resid:.3e})"
         )

@@ -50,35 +50,36 @@ def hermiticity_defect(mat: np.ndarray) -> float:
     return max_abs(mat - mat.conj().T)
 
 
-def require_hermitian(mat: np.ndarray, tol: float = TOL_HERM) -> None:
+def require_hermitian(mat: np.ndarray) -> None:
+    """Reject a non-square M, or one with asymmetry above TOL_HERM * max(1, max|M_ij|)."""
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     defect = hermiticity_defect(mat)
-    bound = tol * max(1.0, max_abs(mat))
+    bound = TOL_HERM * max(1.0, max_abs(mat))
     if defect > bound:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {bound:.3e}"
         )
 
 
-def require_invertible(mat: np.ndarray, tol: float = 1e-12) -> None:
-    """Reject matrices whose smallest singular value is negligible."""
+def require_invertible(mat: np.ndarray) -> None:
+    """Reject matrices whose sigma_min is at most 1e-12 * max(1, sigma_max)."""
     s = np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[-1] <= tol * max(1.0, s[0]):
+    if s.size == 0 or s[-1] <= 1e-12 * max(1.0, s[0]):
         raise ValueError(
             f"matrix is numerically singular (sigma_min={s[-1] if s.size else 0.0:.3e})"
         )
 
 
-def herm_eig(mat: np.ndarray, tol: float = TOL_HERM) -> EigenDecomposition:
+def herm_eig(mat: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, with residual validation.
 
-    Raises ValueError on non-Hermitian input (reporting the asymmetry) and
+    Raises ValueError on non-Hermitian input (see require_hermitian) and
     RuntimeError if the solver fails to converge or the reconstruction
     residual is out of bounds.
     """
-    require_hermitian(mat, tol)
+    require_hermitian(mat)
     mat = np.asarray(mat, dtype=complex)
     try:
         values, vectors = np.linalg.eigh(mat)
@@ -95,8 +96,8 @@ def herm_eig(mat: np.ndarray, tol: float = TOL_HERM) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def congruence(mat: np.ndarray, s: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Return S M S^dagger for Hermitian M and invertible S.
+def congruence(mat: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Return S M S^dagger for Hermitian M and invertible S (see require_invertible).
 
     By Sylvester's law of inertia the result has the same signature as M.
     """
@@ -105,7 +106,7 @@ def congruence(mat: np.ndarray, s: np.ndarray, tol: float = 1e-12) -> np.ndarray
     require_hermitian(mat)
     if s.shape != mat.shape:
         raise ValueError(f"shape mismatch: M is {mat.shape}, S is {s.shape}")
-    require_invertible(s, tol)
+    require_invertible(s)
     out = s @ mat @ s.conj().T
     # exact arithmetic would give a Hermitian result; discard roundoff skew
     return 0.5 * (out + out.conj().T)

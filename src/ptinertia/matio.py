@@ -42,10 +42,6 @@ class MatrixFile:
     exact: ExactMatrix | None
 
     @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @property
     def bipartite(self) -> bool:
         return self.m > 0 and self.n > 0
 
@@ -76,10 +72,6 @@ def format_complex(z: complex) -> str:
     if not im_s.startswith("-"):
         im_s = "+" + im_s
     return f"{re_s}{im_s}j"
-
-
-def format_exact(g: GaussianRational) -> str:
-    return str(g)
 
 
 def loads_matrix(text: str) -> MatrixFile:
@@ -133,7 +125,7 @@ def dumps_matrix(mat: np.ndarray, m: int = 0, n: int = 0, exact=None) -> str:
     out.write(f"{dim} {m} {n}\n")
     for i in range(dim):
         if exact is not None:
-            row = " ".join(format_exact(exact[i][j]) for j in range(dim))
+            row = " ".join(str(exact[i][j]) for j in range(dim))
         else:
             row = " ".join(format_complex(mat[i, j]) for j in range(dim))
         out.write(row + "\n")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import time
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -36,6 +37,16 @@ SEED_SCHEME = 2  # the scheme run_search draws under
 SEED_SCHEMES = (1, 2)  # the schemes replay can regenerate
 
 
+def _as_int(field: str, value) -> int:
+    """value as a Python int; bools, floats and other non-integers raise ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     m: int
@@ -48,6 +59,11 @@ class SearchConfig:
     tol_zero: float = TOL_ZERO
 
     def __post_init__(self):
+        # m, n, samples, seed, workers and each rank are integers: numpy integers
+        # become Python ints (the config is hashed as JSON), a float or bool is refused
+        for field in ("m", "n", "samples", "seed", "workers"):
+            object.__setattr__(self, field, _as_int(field, getattr(self, field)))
+        object.__setattr__(self, "ranks", tuple(_as_int("rank", r) for r in self.ranks))
         if self.m < 1 or self.n < 1:
             raise ValueError(f"local dimensions must be >= 1, got ({self.m},{self.n})")
         if self.ensemble not in ENSEMBLES:
@@ -60,12 +76,13 @@ class SearchConfig:
         check_tol_zero(self.tol_zero)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.ranks:
             raise ValueError("rank set must be nonempty")
         for r in self.ranks:
             if not 1 <= r <= self.m * self.n:
                 raise ValueError(f"rank {r} out of [1, {self.m * self.n}]")
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
 
     def rank_for(self, index: int) -> int:
         # round-robin keeps the allocation deterministic for any sample count
@@ -237,8 +254,14 @@ def run_search(cfg: SearchConfig,
 
     Marginal samples (tolerance-sensitive spectra) are tallied separately and
     never raise alarms.  The record is identical for any cfg.workers value.
+    An alarm triple that no m x n PT can have (a negative count, or a sum
+    other than m*n) raises ValueError.
     """
     alarm_set = frozenset(Inertia(*a) for a in alarm_set)
+    d = cfg.m * cfg.n
+    for triple in sorted(alarm_set):
+        if min(triple) < 0 or sum(triple) != d:
+            raise ValueError(f"alarm triple {triple} must be >= 0 and sum to {d}")
     t0 = time.perf_counter()
     spans = [(cfg, lo, min(lo + 4 * CHUNK, cfg.samples), alarm_set)
              for lo in range(0, cfg.samples, 4 * CHUNK)]

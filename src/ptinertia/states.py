@@ -52,14 +52,14 @@ class State:
         return self.scaled(1.0 / tr)
 
 
-def validate_state(state: State, tol: float = 1e-10) -> None:
-    """Check Hermiticity, positive trace, and PSD-ness up to tolerance."""
+def validate_state(state: State) -> None:
+    """Check Hermiticity, positive trace, and lambda_min >= -1e-10 * max(1, max|rho_ij|)."""
     require_hermitian(state.mat)
     tr = float(np.real(np.trace(state.mat)))
     if tr <= 0:
         raise ValueError(f"state trace {tr} is not positive")
     lo = float(np.linalg.eigvalsh(state.mat)[0])
-    if lo < -tol * max(1.0, max_abs(state.mat)):
+    if lo < -1e-10 * max(1.0, max_abs(state.mat)):
         raise ValueError(f"state has negative eigenvalue {lo:.3e}")
 
 
@@ -94,11 +94,11 @@ class SchmidtDecomposition:
     rank: int
 
 
-def schmidt(psi: np.ndarray, m: int, n: int, tol: float = SCHMIDT_TOL) -> SchmidtDecomposition:
+def schmidt(psi: np.ndarray, m: int, n: int) -> SchmidtDecomposition:
     """Schmidt decomposition of a pure bipartite vector via SVD.
 
     psi = sum_k c_k |a_k> x |b_k| with c_k the singular values of the m x n
-    matricization; rank counts c_k > tol * c_max.
+    matricization; rank counts c_k > SCHMIDT_TOL * c_max.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape[0] != m * n:
@@ -107,19 +107,14 @@ def schmidt(psi: np.ndarray, m: int, n: int, tol: float = SCHMIDT_TOL) -> Schmid
     if norm == 0:
         raise ValueError("cannot Schmidt-decompose the zero vector")
     u, s, vh = np.linalg.svd(psi.reshape(m, n), full_matrices=False)
-    rank = int((s > tol * s[0]).sum())
+    rank = int((s > SCHMIDT_TOL * s[0]).sum())
     return SchmidtDecomposition(coefficients=s, basis_a=u, basis_b=vh, rank=rank)
 
 
-def dm_from_kets(kets: Sequence[np.ndarray], weights: Sequence[float] | None = None,
-                 m: int | None = None, n: int | None = None) -> State:
-    """Density matrix sum_i w_i |psi_i><psi_i| from amplitude vectors."""
+def dm_from_kets(kets: Sequence[np.ndarray], weights: Sequence[float], m: int, n: int) -> State:
+    """Density matrix sum_i w_i |psi_i><psi_i| on dims (m, n) from amplitude vectors."""
     if not kets:
         raise ValueError("at least one ket is required")
-    if m is None or n is None:
-        raise ValueError("local dims (m, n) are required")
-    if weights is None:
-        weights = [1.0] * len(kets)
     if len(weights) != len(kets):
         raise ValueError("kets and weights differ in length")
     d = m * n
@@ -213,15 +208,17 @@ def _quadratic_roots(a: complex, b: complex, c: complex, tol: float) -> list[np.
     return [p / np.linalg.norm(p) for p in pts]
 
 
-def pencil_rank1(u: np.ndarray, v: np.ndarray, tol: float = 1e-12,
-                 match_tol: float = 1e-8):
+def pencil_rank1(u: np.ndarray, v: np.ndarray):
     """Points (x:y) where x*U + y*V drops to rank <= 1, or "infinite".
 
     Each 2x2 minor of x*U + y*V is a binary quadratic in (x, y); the rank-one
     locus is the common projective root set.  When every minor vanishes
     identically the whole pencil has rank <= 1 and the answer is "infinite".
     Returns a list of (x, y) pairs (unit-normalized, first nonzero component
-    made real positive) otherwise.
+    made real positive) otherwise.  With scale the squared largest entry of
+    U and V, a minor vanishes at or below 1e-12 * scale, a candidate point
+    must zero every minor to within 1e-8 * scale, and two points that agree
+    up to phase to within 1e-8 count as one.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -239,20 +236,20 @@ def pencil_rank1(u: np.ndarray, v: np.ndarray, tol: float = 1e-12,
             b = (u[p, r] * v[q, s] + v[p, r] * u[q, s]
                  - u[p, s] * v[q, r] - v[p, s] * u[q, r])
             c = v[p, r] * v[q, s] - v[p, s] * v[q, r]
-            if max(abs(a), abs(b), abs(c)) > tol * scale:
+            if max(abs(a), abs(b), abs(c)) > 1e-12 * scale:
                 quads.append((a, b, c))
     if not quads:
         return "infinite"
-    candidates = _quadratic_roots(*quads[0], tol=tol * scale)
+    candidates = _quadratic_roots(*quads[0], tol=1e-12 * scale)
     points: list[np.ndarray] = []
     for pt in candidates:
         value = max(abs(a * pt[0] ** 2 + b * pt[0] * pt[1] + c * pt[1] ** 2)
                     for a, b, c in quads)
-        if value > match_tol * scale:
+        if value > 1e-8 * scale:
             continue
         # canonical phase: first nonzero component real positive
-        lead = pt[0] if abs(pt[0]) > match_tol else pt[1]
+        lead = pt[0] if abs(pt[0]) > 1e-8 else pt[1]
         pt = pt * (abs(lead) / lead)
-        if not any(abs(abs(np.vdot(pt, known)) - 1.0) < match_tol for known in points):
+        if not any(abs(abs(np.vdot(pt, known)) - 1.0) < 1e-8 for known in points):
             points.append(pt)
     return [(p[0], p[1]) for p in points]

@@ -91,9 +91,8 @@ def min_product_expectation(w: np.ndarray, m: int, n: int,
     return best_val, best_pair
 
 
-def is_witness(state: State, tol_zero: float = TOL_ZERO, ew_tol: float = EW_TOL,
-               restarts: int = 0, seed: int = 0,
-               exact: ExactMatrix | None = None) -> Witness:
+def is_witness(state: State, tol_zero: float = TOL_ZERO, restarts: int = 0,
+               seed: int = 0, exact: ExactMatrix | None = None) -> Witness:
     """Return the PT of a trace-normalized NPT state as a certified witness.
 
     The NPT clause needs at least one negative eigenvalue of the PT.  The
@@ -102,7 +101,7 @@ def is_witness(state: State, tol_zero: float = TOL_ZERO, ew_tol: float = EW_TOL,
     otherwise by lambda_min(rho) >= -zero_band(spectrum, tol_zero) on the
     trace-normalized state (certified="float").  A PPT or non-PSD input
     raises ValueError.  restarts > 0 also runs min_product_expectation as a
-    cross-check and rejects a value below -ew_tol.
+    cross-check and rejects a value below -EW_TOL.
     """
     rho = state.normalized()
     gamma = partial_transpose(rho)
@@ -128,20 +127,23 @@ def is_witness(state: State, tol_zero: float = TOL_ZERO, ew_tol: float = EW_TOL,
     if restarts > 0:
         product_min, _ = min_product_expectation(gamma, state.m, state.n,
                                                  restarts=restarts, seed=seed)
-        if product_min < -ew_tol:
+        if product_min < -EW_TOL:
             raise ValueError(f"product-vector minimum {product_min:.3e} below "
-                             f"-{ew_tol:.1e}; not a witness")
+                             f"-{EW_TOL:.1e}; not a witness")
     return Witness(state.m, state.n, gamma, certified, product_min)
 
 
-def compress(w: np.ndarray, proj: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Two-sided compression P W P by an orthogonal projector."""
+def compress(w: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """Two-sided compression P W P by an orthogonal projector.
+
+    P must satisfy P^2 = P = P^dagger to within 1e-10 * max(1, max|P_ij|).
+    """
     w = np.asarray(w, dtype=complex)
     proj = np.asarray(proj, dtype=complex)
     if proj.shape != w.shape:
         raise ValueError("projector shape must match the matrix")
-    scale = max(1.0, max_abs(proj))
-    if max_abs(proj @ proj - proj) > tol * scale or max_abs(proj - proj.conj().T) > tol * scale:
+    bound = 1e-10 * max(1.0, max_abs(proj))
+    if max_abs(proj @ proj - proj) > bound or max_abs(proj - proj.conj().T) > bound:
         raise ValueError("P is not an orthogonal projector within tolerance")
     return proj @ w @ proj
 

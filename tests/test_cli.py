@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -202,6 +203,7 @@ SEARCH = ["search", "--dims", "3", "3", "--ranks", "2,3", "--samples", "50"]
     (SEARCH + ["--alarm", "(3,0,6);(9,9,9)"], 2),
     (SEARCH + ["--alarm", "(3,0,5)"], 2),
     (SEARCH + ["--alarm", "(3,0,6);(0,0,9)"], 0),
+    (SEARCH + ["--seed", "-1"], 2),
 ])
 def test_search_and_replay_exit_codes(search_logs, capsys, argv, expected):
     code, _, err = run(capsys, *(a.format(dir=search_logs) for a in argv))
@@ -275,3 +277,32 @@ def test_verify_ew_rejects_non_psd_file(tmp_path, capsys):
     assert code == 1
     assert out.splitlines() == ["inertia 1 0 3", "FAIL"]
     assert "not PSD" in err
+
+
+def test_unknown_catalog_id_prints_the_message_without_quotes(capsys):
+    code, out, err = run(capsys, "catalog", "verify", "nope")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown catalog id 'nope';")
+
+
+def test_search_seed_error_names_the_field(capsys):
+    code, _, err = run(capsys, *SEARCH, "--seed", "-1")
+    assert code == 2
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+def test_replay_of_a_float_dims_record_exits_2(tmp_path, capsys):
+    # a config with "m": 2.0 hashes to its own config_hash, so only the type check stops it
+    log = tmp_path / "runs.log"
+    assert run(capsys, "search", "--dims", "2", "2", "--ranks", "2", "--samples", "20",
+               "--seed", "1", "--alarm", "(1,0,3)", "--log", str(log))[0] == 0
+    data = json.loads(log.read_text())
+    assert data["alarms"]
+    data["config"]["m"] = 2.0
+    blob = json.dumps(data["config"], sort_keys=True).encode()
+    data["config_hash"] = hashlib.sha256(blob).hexdigest()[:16]
+    log.write_text(json.dumps(data) + "\n")
+    code, out, err = run(capsys, "replay", "--log", str(log))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "m must be an integer, got 2.0" in err

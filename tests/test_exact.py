@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptinertia import build_exact, inertia_of, pt_array
-from ptinertia.exact import GaussianRational, exact_inertia, exact_is_hermitian
+from ptinertia.exact import GaussianRational, exact_inertia
 from ptinertia.linalg import Inertia
 
 G = GaussianRational
+
+
+def is_exactly_hermitian(mat) -> bool:
+    """Each cell of a square exact matrix equals the conjugate of its mirror."""
+    d = len(mat)
+    return all(mat[i][j] == mat[j][i].conjugate() for i in range(d) for j in range(i, d))
 
 
 def test_arithmetic_identities():
@@ -90,7 +96,7 @@ def test_hash_agrees_with_eq():
 def test_exact_pt_of_rank2_pure():
     rho = build_exact("arr13_vi")
     gamma = pt_array(rho, 3, 3)
-    assert exact_is_hermitian(gamma)
+    assert is_exactly_hermitian(gamma)
     assert exact_inertia(gamma) == Inertia(1, 5, 3)
 
 
@@ -111,7 +117,7 @@ def test_exact_matches_float_on_random_rational_hermitians(rng):
 def test_exact_dm_is_psd_mixture():
     ket = [G(1), G(0, 1), G(Fraction(1, 2))]
     rho = np.outer(ket, np.conj(ket)) * Fraction(2)
-    assert exact_is_hermitian(rho)
+    assert is_exactly_hermitian(rho)
     ine = exact_inertia(rho)
     assert ine.neg == 0 and ine.pos == 1
 
@@ -125,7 +131,7 @@ def dense_elimination_inertia(mat) -> Inertia:
     """
     # the elimination works on a private list-of-lists copy
     a = [[GaussianRational.coerce(x) for x in row] for row in mat]
-    if any(len(row) != len(a) for row in a) or not exact_is_hermitian(a):
+    if any(len(row) != len(a) for row in a) or not is_exactly_hermitian(a):
         raise ValueError("exact_inertia requires an exactly Hermitian matrix")
     active = list(range(len(a)))
     neg = pos = 0
@@ -265,7 +271,7 @@ def gaussian_rational_hermitians(draw):
 @settings(max_examples=100)
 @given(gaussian_rational_hermitians())
 def test_exact_inertia_matches_the_charpoly_oracle(mat):
-    assert exact_is_hermitian(mat)
+    assert is_exactly_hermitian(mat)
     assert exact_inertia(mat) == charpoly_inertia(mat)
 
 
@@ -312,7 +318,7 @@ def sparse_gaussian_rational_hermitians(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_gaussian_rational_hermitians())
 def test_sparse_elimination_matches_the_dense_oracle(mat):
-    assert exact_is_hermitian(mat)
+    assert is_exactly_hermitian(mat)
     got = exact_inertia(mat)
     assert got == dense_elimination_inertia(mat)
     if len(mat) <= 6:

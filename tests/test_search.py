@@ -241,6 +241,14 @@ def _good_line():
     ({"alarms": [{"inertia": [1, 0, 3], "index": 3, "rank": 2,
                   "seed_path": "12"}]}, "alarms need int"),
     ({"alarms": [[1, 0, 3]]}, "malformed"),
+    ({"config": {"m": 2.0, "n": 2, "ranks": [2], "ensemble": "real", "samples": 20,
+                 "seed": 1, "tol_zero": 1e-9}}, "m must be an integer, got 2.0"),
+    ({"config": {"m": 2, "n": 2, "ranks": [2.5], "ensemble": "real", "samples": 20,
+                 "seed": 1, "tol_zero": 1e-9}}, "rank must be an integer, got 2.5"),
+    ({"config": {"m": 2, "n": 2, "ranks": [2], "ensemble": "real", "samples": True,
+                 "seed": 1, "tol_zero": 1e-9}}, "samples must be an integer"),
+    ({"config": {"m": 2, "n": 2, "ranks": [2], "ensemble": "real", "samples": 20,
+                 "seed": -1, "tol_zero": 1e-9}}, "seed must be >= 0"),
 ])
 def test_malformed_log_line_names_its_line(tmp_path, edit, message):
     good = _good_line()
@@ -261,3 +269,36 @@ def test_log_line_missing_a_key_is_rejected():
     del data["marginal"]
     with pytest.raises(ValueError, match="lacks key 'marginal'"):
         SearchRecord.from_json_line(json.dumps(data))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("m", 3.0, "m must be an integer"),
+    ("n", True, "n must be an integer"),
+    ("samples", 10.0, "samples must be an integer"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("seed", -1, "seed must be >= 0"),
+    ("workers", 2.0, "workers must be an integer"),
+    ("ranks", (2, 2.5), "rank must be an integer, got 2.5"),
+    ("ranks", (True,), "rank must be an integer"),
+    ("ranks", (np.bool_(True),), "rank must be an integer"),
+])
+def test_config_type_errors_name_their_field(field, value, message):
+    kwargs = dict(m=3, n=3, ranks=(2,), samples=10, seed=0) | {field: value}
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers_as_ints():
+    cfg = SearchConfig(m=np.int64(3), n=np.int32(3), ranks=(np.int64(2), 3),
+                       samples=np.int64(10), seed=np.uint8(4), workers=np.int16(1))
+    want = SearchConfig(m=3, n=3, ranks=(2, 3), samples=10, seed=4)
+    assert cfg == want and cfg.digest() == want.digest()
+    assert all(type(v) is int for v in (cfg.m, cfg.n, cfg.samples, cfg.seed,
+                                        cfg.workers, *cfg.ranks))
+
+
+@pytest.mark.parametrize("alarm", [Inertia(9, 9, 9), Inertia(-1, 2, 3), (0, 0, 5)])
+def test_run_search_rejects_an_impossible_alarm_triple(alarm):
+    cfg = SearchConfig(m=2, n=2, ranks=(2,), samples=200, seed=3)
+    with pytest.raises(ValueError, match="must be >= 0 and sum to 4"):
+        run_search(cfg, [Inertia(1, 0, 3), alarm])
