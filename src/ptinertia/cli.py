@@ -38,10 +38,14 @@ def _parse_alarms(text: str) -> list[Inertia]:
     """Alarm triples "(neg,zero,pos);..."; run_search rejects an impossible one."""
     out = []
     for chunk in text.split(";"):
-        chunk = chunk.strip().strip("()")
+        triple = chunk.strip()
+        chunk = triple.strip("()")
         if not chunk:
             continue
-        parts = [int(p) for p in chunk.split(",")]
+        try:
+            parts = [int(p) for p in chunk.split(",")]
+        except ValueError:
+            raise ValueError(f"--alarm: cannot parse triple {triple!r}") from None
         if len(parts) != 3:
             raise ValueError(f"alarm triple must have three entries: {chunk!r}")
         out.append(Inertia(*parts))

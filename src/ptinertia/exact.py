@@ -8,6 +8,13 @@ eigenvalue route.  The elimination holds each row as a dict of its nonzero
 entries and does arithmetic only where both factors of an update are
 nonzero, so a sparse partial transpose (the chain-family witnesses have a
 few percent nonzeros) costs a fraction of a dense one of the same size.
+A matrix whose entries are all real (every partial transpose of a real
+state, including the integer-Wishart and dyadic chain-family ones) is
+eliminated over Q instead: its rows hold the entries' real parts as plain
+Fractions.  Q is a subfield of Q(i) closed under the same + - * / and
+conjugation (the identity there), so the congruence steps, and with them
+the triple, are the ones the Q(i) elimination would take, at a fraction of
+the cost of GaussianRational arithmetic.
 
 An exact matrix (ExactMatrix) is a numpy ``dtype=object`` array of
 GaussianRational, so numpy's own operations serve it: states.pt_array is its
@@ -91,6 +98,11 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
+    @property
+    def real(self) -> Fraction:
+        """The real part, spelled as on Fraction so a pivot's sign reads d.real > 0."""
+        return self.re
+
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
@@ -123,8 +135,12 @@ class GaussianRational:
 ExactMatrix = np.ndarray
 
 
-def _sparse_rows(mat) -> list[dict[int, GaussianRational]]:
-    """Row i of a square Hermitian mat as {j: entry} over its nonzero entries."""
+def _sparse_rows(mat) -> list[dict[int, GaussianRational | Fraction]]:
+    """Row i of a square Hermitian mat as {j: entry} over its nonzero entries.
+
+    The entries are GaussianRational, or their real parts as Fractions when
+    no entry of mat has a nonzero imaginary part.
+    """
     cells = mat.tolist() if isinstance(mat, np.ndarray) else mat
     if any(len(row) != len(cells) for row in cells):
         raise ValueError("exact_inertia requires an exactly Hermitian matrix")
@@ -149,10 +165,12 @@ def _sparse_rows(mat) -> list[dict[int, GaussianRational]]:
                 continue  # a shared real entry is its own conjugate
             if y is None or x.re != y.re or x.im != -y.im:
                 raise ValueError("exact_inertia requires an exactly Hermitian matrix")
+    if not any(x.im for row in rows for x in row.values()):
+        rows = [{j: x.re for j, x in row.items()} for row in rows]
     return rows
 
 
-def _sub_scaled(row: dict, coeff: GaussianRational, other: dict) -> None:
+def _sub_scaled(row: dict, coeff: GaussianRational | Fraction, other: dict) -> None:
     """row -= coeff * other on other's nonzeros, deleting entries that cancel to 0."""
     minus = -coeff
     for j, x in other.items():
@@ -185,6 +203,12 @@ def exact_inertia(mat) -> Inertia:
     pivot is the nonzero diagonal entry whose row has the fewest nonzeros,
     which limits fill-in; Sylvester's law makes the triple independent of
     that order.
+
+    When no entry has a nonzero imaginary part the rows hold Fractions and
+    the same loop runs over Q, which gives the Q(i) triple (see the module
+    docstring): + - * /, conjugate() and bool() mean the same on Fraction
+    and GaussianRational, and both spell a pivot's sign d.real > 0.  A
+    single imaginary entry keeps the whole matrix on GaussianRational.
     """
     rows = _sparse_rows(mat)
     active = {i for i, row in enumerate(rows) if row}
@@ -196,7 +220,7 @@ def exact_inertia(mat) -> Inertia:
             prow = rows[pivot]
             d = prow.pop(pivot)
             active.discard(pivot)
-            if d.re > 0:
+            if d.real > 0:
                 pos += 1
             else:
                 neg += 1

@@ -113,8 +113,18 @@ def congruence(mat: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def check_tol_zero(tol_zero: float) -> float:
-    """Return tol_zero if it is a finite positive number, else raise ValueError."""
-    if not (math.isfinite(tol_zero) and tol_zero > 0):
+    """Return tol_zero if it is a finite positive number, else raise ValueError.
+
+    A non-number is refused, and so is a bool (or numpy bool): True would
+    pass as a band of 1.0.
+    """
+    try:
+        ok = math.isfinite(tol_zero) and tol_zero > 0
+    except TypeError:
+        ok = None
+    if ok is None or isinstance(tol_zero, (bool, np.bool_)):
+        raise ValueError(f"tol_zero must be a real number, got {tol_zero!r}")
+    if not ok:
         raise ValueError(f"tol_zero must be finite and > 0, got {tol_zero}")
     return tol_zero
 

@@ -291,18 +291,42 @@ def test_search_seed_error_names_the_field(capsys):
     assert err == "error: seed must be >= 0, got -1\n"
 
 
-def test_replay_of_a_float_dims_record_exits_2(tmp_path, capsys):
-    # a config with "m": 2.0 hashes to its own config_hash, so only the type check stops it
+def _replay_with_config_field(tmp_path, capsys, field, value):
+    """Replay a one-alarm 2x2 record whose config field is set to value and whose
+    config_hash is recomputed to match, so only the config's own checks stop it."""
     log = tmp_path / "runs.log"
     assert run(capsys, "search", "--dims", "2", "2", "--ranks", "2", "--samples", "20",
                "--seed", "1", "--alarm", "(1,0,3)", "--log", str(log))[0] == 0
     data = json.loads(log.read_text())
     assert data["alarms"]
-    data["config"]["m"] = 2.0
+    data["config"][field] = value
     blob = json.dumps(data["config"], sort_keys=True).encode()
     data["config_hash"] = hashlib.sha256(blob).hexdigest()[:16]
     log.write_text(json.dumps(data) + "\n")
-    code, out, err = run(capsys, "replay", "--log", str(log))
+    return run(capsys, "replay", "--log", str(log))
+
+
+def test_replay_of_a_float_dims_record_exits_2(tmp_path, capsys):
+    # a config with "m": 2.0 hashes to its own config_hash, so only the type check stops it
+    code, out, err = _replay_with_config_field(tmp_path, capsys, "m", 2.0)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "m must be an integer, got 2.0" in err
+
+
+def test_replay_of_a_bool_tol_zero_record_exits_2(tmp_path, capsys):
+    # "tol_zero": true once loaded as a zero band of 1.0 and replayed to exit 1
+    code, out, err = _replay_with_config_field(tmp_path, capsys, "tol_zero", True)
+    assert code == 2 and out == ""
+    assert err == f"error: {tmp_path / 'runs.log'}, line 1: tol_zero must be a real number, got True\n"
+
+
+@pytest.mark.parametrize("alarm, triple", [
+    ("(1.5,2,3)", "(1.5,2,3)"),
+    ("(3,2,4); (a,1,4)", "(a,1,4)"),
+    ("(3,2,4);3,2,4.0", "3,2,4.0"),
+])
+def test_alarm_parse_error_names_the_option_and_the_triple(capsys, alarm, triple):
+    code, out, err = run(capsys, *SEARCH, "--alarm", alarm)
+    assert (code, out) == (2, "")
+    assert err == f"error: --alarm: cannot parse triple {triple!r}\n"

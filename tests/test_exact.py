@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptinertia import build_exact, inertia_of, pt_array
-from ptinertia.exact import GaussianRational, exact_inertia
+from ptinertia.exact import GaussianRational, _sparse_rows, exact_inertia
 from ptinertia.linalg import Inertia
 
 G = GaussianRational
@@ -323,3 +323,94 @@ def test_sparse_elimination_matches_the_dense_oracle(mat):
     assert got == dense_elimination_inertia(mat)
     if len(mat) <= 6:
         assert got == charpoly_inertia(mat)
+
+
+def row_scalar_types(mat) -> set[type]:
+    """The scalar types exact_inertia's elimination rows hold for mat."""
+    return {type(x) for row in _sparse_rows(mat) for x in row.values()}
+
+
+_real_entries = st.one_of(st.integers(-4, 4), _small_rationals,
+                          st.builds(G, _small_rationals))  # every im == 0
+
+
+@st.composite
+def real_rational_hermitians(draw):
+    """Real symmetric rational matrices (every im == 0) of int, Fraction and
+    real GaussianRational entries, as nested lists or object arrays:
+    - dense: every entry drawn, d <= 5;
+    - rank_deficient: a sum of r < d signed real projectors, d <= 5;
+    - sparse: d <= 10, two off-diagonal entries in three are zero;
+    - zero_diagonal: sparse with a zero diagonal, so the first pivot is 2x2."""
+    kind = draw(st.sampled_from(["dense", "rank_deficient", "sparse", "zero_diagonal"]))
+    d = draw(st.integers(1, 5 if kind in ("dense", "rank_deficient") else 10))
+    if kind == "rank_deficient":
+        r = draw(st.integers(0, d - 1))
+        vecs = [[draw(_real_entries) for _ in range(d)] for _ in range(r)]
+        signs = [draw(st.sampled_from([-1, 1])) for _ in range(r)]
+        mat = [[sum((s * v[i] * v[j] for s, v in zip(signs, vecs)), Fraction(0))
+                for j in range(d)] for i in range(d)]
+    else:
+        off = (_real_entries if kind == "dense"
+               else st.one_of(st.just(0), st.just(Fraction(0)), _real_entries))
+        mat = [[0] * d for _ in range(d)]
+        for i in range(d):
+            if kind != "zero_diagonal":
+                mat[i][i] = draw(_real_entries)
+            for j in range(i + 1, d):
+                mat[i][j] = mat[j][i] = draw(off)
+    return np.array(mat, dtype=object) if draw(st.booleans()) else mat
+
+
+@settings(max_examples=100, deadline=None)
+@given(real_rational_hermitians())
+def test_real_input_is_eliminated_over_q_and_matches_both_oracles(mat):
+    assert is_exactly_hermitian(mat)
+    assert row_scalar_types(mat) <= {Fraction}
+    got = exact_inertia(mat)
+    assert got == dense_elimination_inertia(mat)
+    if len(mat) <= 6:
+        assert got == charpoly_inertia(mat)
+
+
+_imaginary_parts = _small_rationals.filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_rational_hermitians().filter(lambda m: len(m) >= 2), st.data())
+def test_one_conjugate_pair_keeps_the_whole_matrix_over_q_i(mat, data):
+    d = len(mat)
+    mat = [list(row) for row in mat]
+    i, j = data.draw(st.permutations(range(d)))[:2]
+    entry = G(G.coerce(mat[i][j]).re, data.draw(_imaginary_parts))
+    mat[i][j], mat[j][i] = entry, entry.conjugate()
+    assert is_exactly_hermitian(mat)
+    assert row_scalar_types(mat) == {G}
+    got = exact_inertia(mat)
+    assert got == dense_elimination_inertia(mat)
+    if d <= 6:
+        assert got == charpoly_inertia(mat)
+
+
+@pytest.mark.parametrize("mat", [
+    [[1, Fraction(1, 2)], [Fraction(1, 2), 0.5]],
+    [[0, 0.0], [0.0, Fraction(3)]],
+    [[2, 1], [1, np.float64(1.0)]],
+])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_real_input_rejects_a_float_entry(mat, as_array):
+    with pytest.raises(TypeError):
+        exact_inertia(np.array(mat, dtype=object) if as_array else mat)
+
+
+@pytest.mark.parametrize("mat", [
+    [[1, 2], [3, 1]],  # asymmetric
+    [[0, Fraction(1, 2)], [0, 0]],  # a nonzero entry whose mirror is zero
+    [[1, G(2)], [Fraction(5, 2), 1]],  # asymmetric across entry types
+    [[1, 0], [0]],  # ragged
+    np.array([[1, 0, 0], [0, 1, 0]], dtype=object),  # 2x3
+    np.array([[Fraction(1), 2], [3, 4]], dtype=object),  # asymmetric object array
+])
+def test_real_input_rejects_non_square_and_non_symmetric(mat):
+    with pytest.raises(ValueError, match="exact_inertia requires an exactly Hermitian matrix"):
+        exact_inertia(mat)

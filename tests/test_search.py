@@ -249,6 +249,10 @@ def _good_line():
                  "seed": 1, "tol_zero": 1e-9}}, "samples must be an integer"),
     ({"config": {"m": 2, "n": 2, "ranks": [2], "ensemble": "real", "samples": 20,
                  "seed": -1, "tol_zero": 1e-9}}, "seed must be >= 0"),
+    ({"config": {"m": 2, "n": 2, "ranks": [2], "ensemble": "real", "samples": 20,
+                 "seed": 1, "tol_zero": True}}, "tol_zero must be a real number, got True"),
+    ({"config": {"m": 2, "n": 2, "ranks": [2], "ensemble": "real", "samples": 20,
+                 "seed": 1, "tol_zero": "1e-9"}}, "tol_zero must be a real number"),
 ])
 def test_malformed_log_line_names_its_line(tmp_path, edit, message):
     good = _good_line()
@@ -281,6 +285,8 @@ def test_log_line_missing_a_key_is_rejected():
     ("ranks", (2, 2.5), "rank must be an integer, got 2.5"),
     ("ranks", (True,), "rank must be an integer"),
     ("ranks", (np.bool_(True),), "rank must be an integer"),
+    ("tol_zero", True, "tol_zero must be a real number, got True"),
+    ("tol_zero", np.bool_(True), "tol_zero must be a real number"),
 ])
 def test_config_type_errors_name_their_field(field, value, message):
     kwargs = dict(m=3, n=3, ranks=(2,), samples=10, seed=0) | {field: value}
