@@ -101,10 +101,8 @@ def cmd_schmidt(args) -> int:
 def cmd_catalog(args) -> int:
     if args.action == "list":
         for entry_id in catalog.entry_ids():
-            entry = catalog.get_entry(entry_id)
-            expected = catalog.expected_inertia(entry_id)
-            print(f"{entry_id} dims={entry.dims[0]}x{entry.dims[1]} "
-                  f"expected=({_fmt(expected).replace(' ', ',')})")
+            m, n = catalog.get_entry(entry_id).dims
+            print(f"{entry_id} dims={m}x{n} expected={catalog.expected_inertia(entry_id)}")
         return 0
     if args.action == "verify":
         ids = catalog.entry_ids() if args.all or not args.id else [args.id]
@@ -146,23 +144,21 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify_ew(args) -> int:
-    if args.restarts < 0:
-        raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     mf = matio.load_matrix(args.file)
     if not mf.bipartite:
         print("error: witness check needs a bipartite header", file=sys.stderr)
         return 2
     state = State(mf.m, mf.n, mf.mat)
-    print(f"inertia {_fmt(pt_inertia(state, args.tol))}")
+    inertia_line = f"inertia {_fmt(pt_inertia(state, args.tol))}"
     try:
         w = witness.is_witness(state, args.tol, exact=mf.exact,
                                restarts=args.restarts, seed=args.seed)
-    except ValueError as exc:
+    except witness.NotAWitness as exc:
+        print(inertia_line)
         print(f"# {exc}", file=sys.stderr)
         print("FAIL")
         return 1
+    print(inertia_line)
     print(f"certified {w.certified}")
     if w.product_min is not None:
         print(f"product_min {w.product_min:.12e}")

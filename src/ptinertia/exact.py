@@ -1,8 +1,8 @@
 """Exact Gaussian-rational arithmetic and a certified inertia computation.
 
 Matrices with entries in Q(i) admit an exact signature via symmetric Gaussian
-elimination with 1x1 and 2x2 diagonal pivoting: every congruence step is
-performed over the rationals, so the resulting triple carries no floating
+elimination with 1x1 diagonal pivots: every congruence step is performed
+over the rationals, so the resulting triple carries no floating
 point uncertainty.  This is the certification path backing the float
 eigenvalue route.  The elimination holds each row as a dict of its nonzero
 entries and does arithmetic only where both factors of an update are
@@ -189,20 +189,18 @@ def exact_inertia(mat) -> Inertia:
     """Signature of an exactly Hermitian matrix over Q(i).
 
     `mat` is an ExactMatrix or nested lists of GaussianRational, int or
-    Fraction entries.  Symmetric Gaussian elimination with diagonal
-    pivoting: a nonzero diagonal entry gives a 1x1 pivot contributing its
-    sign; if the whole active diagonal vanishes but an off-diagonal entry a
-    survives, the 2x2 block [[0, a], [a*, 0]] is indefinite and contributes
-    one positive and one negative count.  Each step is a congruence, so
-    Sylvester's law makes the tally exact.
+    Fraction entries.  Symmetric Gaussian elimination with 1x1 diagonal
+    pivots: a nonzero diagonal entry contributes its sign.  If the whole
+    active diagonal vanishes, row p (the one with the fewest nonzeros) has
+    a = a_pq != 0, and e_p -> e_p + conj(a) e_q makes a_pp = 2|a|^2 > 0.
+    Each step is a congruence, so Sylvester's law makes the tally exact.
 
     The elimination is sparse: row i is a dict {j: a_ij} of its nonzero
-    entries, a Schur update only touches pairs (i, j) whose two pivot-column
-    entries are nonzero, and an entry that cancels to an exact zero is
-    deleted.  A row that empties is done: it is one zero eigenvalue.  The
-    pivot is the nonzero diagonal entry whose row has the fewest nonzeros,
-    which limits fill-in; Sylvester's law makes the triple independent of
-    that order.
+    entries, an update only touches entries where both of its factors are
+    nonzero, and an entry that cancels to an exact zero is deleted.  A row
+    that empties is done: it is one zero eigenvalue.  The pivot is the
+    nonzero diagonal entry whose row has the fewest nonzeros, which limits
+    fill-in; Sylvester's law makes the triple independent of that order.
 
     When no entry has a nonzero imaginary part the rows hold Fractions and
     the same loop runs over Q, which gives the Q(i) triple (see the module
@@ -216,41 +214,34 @@ def exact_inertia(mat) -> Inertia:
     while active:
         pivot = min((p for p in active if p in rows[p]), key=lambda p: len(rows[p]),
                     default=None)
-        if pivot is not None:
+        if pivot is None:
+            pivot = min(active, key=lambda i: len(rows[i]))
             prow = rows[pivot]
-            d = prow.pop(pivot)
-            active.discard(pivot)
-            if d.real > 0:
-                pos += 1
-            else:
-                neg += 1
-            # a_ij -= a_ip a_pj / d, with a_ip = conj(a_pi)
-            for i, a_pi in prow.items():
-                ri = rows[i]
-                del ri[pivot]
-                _sub_scaled(ri, a_pi.conjugate() / d, prow)
-                if not ri:
-                    active.discard(i)
-            continue
-        p = min(active, key=lambda i: len(rows[i]))
-        prow = rows[p]
-        q = next(iter(prow))
-        qrow = rows[q]
-        piv = prow.pop(q)
-        del qrow[p]
-        active -= {p, q}
-        pos += 1
-        neg += 1
-        # Schur complement against [[0, piv], [piv*, 0]]:
-        # a_ij -= conj(a_pi / piv) a_qj + conj(a_qi / piv*) a_pj
-        for i in prow.keys() | qrow.keys():
+            q = next(iter(prow))
+            a, qrow = prow[q], rows[q]
+            # row p += a * row q, then column p += conj(a) * column q; with
+            # a_pp = a_qq = 0 each adds |a|^2 to a_pp
+            _sub_scaled(prow, -a, qrow)
+            prow[pivot] += a.conjugate() * a
+            # only rows i with a_qi != 0 see a_pi change; one that cancels to 0
+            # held a_pi = -a a_qi != 0 before, so its p key is there to delete
+            for i in qrow.keys() - {pivot}:
+                if i in prow:
+                    rows[i][pivot] = prow[i].conjugate()
+                else:
+                    del rows[i][pivot]
+        prow = rows[pivot]
+        d = prow.pop(pivot)
+        active.discard(pivot)
+        if d.real > 0:
+            pos += 1
+        else:
+            neg += 1
+        # a_ij -= a_ip a_pj / d, with a_ip = conj(a_pi)
+        for i, a_pi in prow.items():
             ri = rows[i]
-            ri.pop(p, None)
-            ri.pop(q, None)
-            if i in prow:
-                _sub_scaled(ri, (prow[i] / piv).conjugate(), qrow)
-            if i in qrow:
-                _sub_scaled(ri, (qrow[i] / piv.conjugate()).conjugate(), prow)
+            del ri[pivot]
+            _sub_scaled(ri, a_pi.conjugate() / d, prow)
             if not ri:
                 active.discard(i)
     return Inertia(neg, len(rows) - neg - pos, pos)

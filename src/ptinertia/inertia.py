@@ -87,8 +87,9 @@ def embed(state: State, m2: int, n2: int, lift: int, *,
     With ``lift_kernel=False`` the block is embedded as-is and the result is
     (a, b + m2*n2 - m1*n1 - lift, c + lift).
 
-    eps starts at 1e-3 times the smallest nonzero PT eigenvalue magnitude and
-    is halved (up to 10 times) while the result is marginal or off-formula.
+    eps is 1e-3 times the smallest nonzero PT eigenvalue magnitude.  A
+    result off the formula, or marginal, raises RuntimeError: a smaller eps
+    would only move the lifted eigenvalues toward the zero band.
     """
     m1, n1 = state.m, state.n
     if m1 > m2 or n1 > n2:
@@ -102,7 +103,7 @@ def embed(state: State, m2: int, n2: int, lift: int, *,
     nonzero = np.abs(vals)[np.abs(vals) > zero_band(vals, tol_zero)]
     if nonzero.size == 0:
         raise ValueError("cannot embed a state whose PT is identically zero")
-    eps0 = 1e-3 * float(nonzero.min())
+    eps = 1e-3 * float(nonzero.min())
 
     if lift_kernel:
         expected = Inertia(a, extra - lift, b + c + lift)
@@ -118,18 +119,12 @@ def embed(state: State, m2: int, n2: int, lift: int, *,
               if i >= m1 or j >= n1][:lift]
     if lift_kernel and b > 0:
         lifted += [i * n2 + j for i in range(m1) for j in range(n1)]
-    eps = eps0
-    for _ in range(11):
-        big = block.copy()
-        big[lifted, lifted] += eps
-        out = State(m2, n2, big)
-        got, marginal = pt_inertia(out, tol_zero, with_flag=True)
-        if got == expected and not marginal:
-            return out
-        eps *= 0.5
-    raise RuntimeError(
-        f"embed could not stabilize the target inertia {expected} (last got {got})"
-    )
+    block[lifted, lifted] += eps
+    out = State(m2, n2, block)
+    got, marginal = pt_inertia(out, tol_zero, with_flag=True)
+    if got != expected or marginal:
+        raise RuntimeError(f"embed missed {expected}: got {got}, marginal={marginal}")
+    return out
 
 
 class UpdateOutcome(NamedTuple):

@@ -143,9 +143,9 @@ def spectrum_inertia(values: np.ndarray, tol_zero: float = TOL_ZERO) -> tuple[In
     """Classify eigenvalues into (negative, zero, positive) counts.
 
     Eigenvalues inside the zero band (see zero_band) count as zero.  The
-    result is flagged marginal when reclassifying at tol_zero/10 and
-    10*tol_zero would change any count, i.e. when some eigenvalue sits near
-    the band edge.  A 1-D spectrum gives an Inertia of ints and a bool; a
+    result is flagged marginal when some |lambda| lies in the band between
+    tol_zero/10 and 10*tol_zero, where a count would change at one of those
+    tolerances.  A 1-D spectrum gives an Inertia of ints and a bool; a
     (..., d) stack gives integer and boolean arrays over its leading axes.
     """
     values = np.asarray(values, dtype=float)
@@ -153,14 +153,10 @@ def spectrum_inertia(values: np.ndarray, tol_zero: float = TOL_ZERO) -> tuple[In
     # the band is linear in the tolerance, and 1.0 * x is exact, so tol * unit
     # is bit for bit zero_band(values, tol)
     unit = zero_band(values, 1.0)[..., None]
-
-    def counts(tol):
-        t = tol * unit
-        return (values < -t).sum(axis=-1), (values > t).sum(axis=-1)
-
-    (neg, pos), (neg_lo, pos_lo), (neg_hi, pos_hi) = (
-        counts(tol_zero), counts(tol_zero / 10), counts(tol_zero * 10))
-    marginal = (neg_lo != neg) | (pos_lo != pos) | (neg_hi != neg) | (pos_hi != pos)
+    band = tol_zero * unit
+    neg, pos = (values < -band).sum(axis=-1), (values > band).sum(axis=-1)
+    mag = np.abs(values)
+    marginal = ((tol_zero / 10 * unit < mag) & (mag <= tol_zero * 10 * unit)).any(axis=-1)
     ine = Inertia(neg, values.shape[-1] - neg - pos, pos)
     if values.ndim == 1:
         return Inertia(*map(int, ine)), bool(marginal)

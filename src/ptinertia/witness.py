@@ -28,6 +28,10 @@ DEFAULT_RESTARTS = 50
 ITER_CAP = 500
 
 
+class NotAWitness(ValueError):
+    """is_witness's verdict on a valid call: this state's PT is not a witness."""
+
+
 @dataclass(frozen=True)
 class Witness:
     m: int
@@ -50,8 +54,7 @@ def _min_eigvec(mat: np.ndarray) -> tuple[float, np.ndarray]:
 
 def min_product_expectation(w: np.ndarray, m: int, n: int,
                             restarts: int = DEFAULT_RESTARTS,
-                            seed: int = 0,
-                            iter_cap: int = ITER_CAP):
+                            seed: int = 0):
     """Approximate min of <a,b|W|a,b> over unit product vectors.
 
     Alternating eigenvector iteration: with a fixed, the optimal b is the
@@ -59,12 +62,11 @@ def min_product_expectation(w: np.ndarray, m: int, n: int,
     and symmetrically for a, each contracted from W[i, j, k, l] = <i,j|W|k,l>.
     Each restart draws its own generator from (seed, restart index), so the
     result is deterministic and independent of evaluation order.  The value
-    is an upper bound on the true minimum.  restarts and iter_cap must be at
-    least 1; with either at 0 no product vector would be tried.
+    is an upper bound on the true minimum.  A restart stops after ITER_CAP
+    sweeps.  With restarts < 1 no product vector would be tried.
     """
-    if restarts < 1 or iter_cap < 1:
-        raise ValueError(f"restarts and iter_cap must be >= 1, "
-                         f"got restarts={restarts}, iter_cap={iter_cap}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     w = np.asarray(w, dtype=complex)
     require_hermitian(w)
     if w.shape != (m * n, m * n):
@@ -78,7 +80,7 @@ def min_product_expectation(w: np.ndarray, m: int, n: int,
         a = _random_unit(rng, m)
         b = _random_unit(rng, n)
         value = np.inf
-        for _ in range(iter_cap):
+        for _ in range(ITER_CAP):
             val_b, b = _min_eigvec(np.einsum("i,ijkl,k->jl", a.conj(), w4, a))
             val_a, a = _min_eigvec(np.einsum("j,ijkl,l->ik", b.conj(), w4, b))
             if abs(value - val_a) <= tol:
@@ -100,14 +102,18 @@ def is_witness(state: State, tol_zero: float = TOL_ZERO, restarts: int = 0,
     of the same rho, by exact_inertia(exact).neg == 0 (certified="exact");
     otherwise by lambda_min(rho) >= -zero_band(spectrum, tol_zero) on the
     trace-normalized state (certified="float").  A PPT or non-PSD input
-    raises ValueError.  restarts > 0 also runs min_product_expectation as a
-    cross-check and rejects a value below -EW_TOL.
+    raises NotAWitness.  restarts > 0 also runs min_product_expectation as a
+    cross-check and rejects a value below -EW_TOL the same way.  A negative
+    restarts or seed raises ValueError.
     """
+    for name, value in (("restarts", restarts), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     rho = state.normalized()
     gamma = partial_transpose(rho)
     ine = pt_inertia(state, tol_zero)
     if ine.neg < 1:
-        raise ValueError(f"state is PPT (inertia {ine}); its PT is not a witness")
+        raise NotAWitness(f"state is PPT (inertia {ine}); its PT is not a witness")
     # pt_inertia has checked that the PT, and so rho, is Hermitian
     values = np.linalg.eigvalsh(rho.mat)
     if exact is None:
@@ -121,15 +127,15 @@ def is_witness(state: State, tol_zero: float = TOL_ZERO, restarts: int = 0,
             raise ValueError("exact view does not match the state's matrix")
         psd = exact_inertia(exact).neg == 0
     if not psd:
-        raise ValueError(f"state is not PSD ({certified} check, smallest eigenvalue "
-                         f"{values[0]:.3e}); its PT is not a witness")
+        raise NotAWitness(f"state is not PSD ({certified} check, smallest eigenvalue "
+                          f"{values[0]:.3e}); its PT is not a witness")
     product_min = None
     if restarts > 0:
         product_min, _ = min_product_expectation(gamma, state.m, state.n,
                                                  restarts=restarts, seed=seed)
         if product_min < -EW_TOL:
-            raise ValueError(f"product-vector minimum {product_min:.3e} below "
-                             f"-{EW_TOL:.1e}; not a witness")
+            raise NotAWitness(f"product-vector minimum {product_min:.3e} below "
+                              f"-{EW_TOL:.1e}; not a witness")
     return Witness(state.m, state.n, gamma, certified, product_min)
 
 

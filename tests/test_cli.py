@@ -330,3 +330,44 @@ def test_alarm_parse_error_names_the_option_and_the_triple(capsys, alarm, triple
     code, out, err = run(capsys, *SEARCH, "--alarm", alarm)
     assert (code, out) == (2, "")
     assert err == f"error: --alarm: cannot parse triple {triple!r}\n"
+
+
+def test_replay_dump_writes_the_replayed_state(tmp_path, capsys):
+    log, dump = tmp_path / "runs.log", tmp_path / "alarm.txt"
+    assert run(capsys, "search", "--dims", "3", "3", "--ranks", "3", "--samples", "200",
+               "--seed", "17", "--alarm", "(3,0,6)", "--log", str(log))[0] == 0
+    code, out, _ = run(capsys, "replay", "--log", str(log), "--dump", str(dump))
+    assert code == 0 and out == "replayed 3 0 6 recorded 3 0 6\n"
+    # the dump is the state itself: its partial transpose has the replayed triple
+    pt = tmp_path / "alarm_pt.txt"
+    assert run(capsys, "pt", "--file", str(dump), "--out", str(pt))[0] == 0
+    assert run(capsys, "inertia", "--file", str(pt))[:2] == (0, "3 0 6\n")
+
+
+def test_catalog_dump_without_out_writes_the_file_bytes_to_stdout(tmp_path, capsys):
+    path = tmp_path / "arr13_ix.txt"
+    assert run(capsys, "catalog", "dump", "arr13_ix", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "catalog", "dump", "arr13_ix")
+    assert (code, err) == (0, "")
+    assert out.encode() == path.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["pt", "verify-ew"])
+def test_pt_and_verify_ew_refuse_a_non_bipartite_header(tmp_path, capsys, command):
+    path = tmp_path / "plain.txt"
+    matio.save_matrix(path, np.eye(4))
+    assert matio.load_matrix(path).m == 0
+    code, out, err = run(capsys, command, "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_ew_on_a_rational_file_that_is_not_exactly_hermitian_exits_2(tmp_path, capsys):
+    # an asymmetry of 1e-15 passes the float Hermiticity check, so only the
+    # exact PSD certificate meets it: an input error, not a witness verdict
+    path = tmp_path / "skew.txt"
+    path.write_text("4 2 2\n1 0 0 1/2\n0 0 0 0\n0 0 0 0\n"
+                    "500000000000001/1000000000000000 0 0 1\n")
+    code, out, err = run(capsys, "verify-ew", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: exact_inertia requires an exactly Hermitian matrix\n"

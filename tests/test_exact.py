@@ -79,9 +79,21 @@ def test_exact_inertia_on_cancelling_and_zero_diagonal_input():
     # the pivot 1 turns the lower block [[1, 1], [1, 1]] into exact zeros
     mat = [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
     assert exact_inertia(mat) == Inertia(0, 2, 1)
-    # a zero diagonal everywhere leaves only 2x2 pivots
+    # a zero diagonal everywhere: no pivot exists until a congruence makes one
     swap = [[0, 0, 0, G(0, 1)], [0, 0, 3, 0], [0, 3, 0, 0], [G(0, -1), 0, 0, 0]]
     assert exact_inertia(swap) == Inertia(2, 0, 2)
+
+
+@pytest.mark.parametrize("mat, scalar", [
+    ([[0, 1, 1], [1, 0, -1], [1, -1, 0]], Fraction),
+    ([[0, G(0, 1), G(0, 1)], [G(0, -1), 0, -1], [G(0, -1), -1, 0]], G),
+])
+def test_zero_diagonal_congruence_that_cancels_an_entry(mat, scalar):
+    # row 0 += a_01 * row 1 turns a_02 into a_02 + a_01 a_12 = 0, so row 2
+    # loses its entry in column 0 before the first pivot
+    assert is_exactly_hermitian(mat)
+    assert row_scalar_types(mat) == {scalar}
+    assert exact_inertia(mat) == charpoly_inertia(mat) == Inertia(1, 0, 2)
 
 
 def test_hash_agrees_with_eq():
@@ -125,9 +137,10 @@ def test_exact_dm_is_psd_mixture():
 def dense_elimination_inertia(mat) -> Inertia:
     """Oracle: dense symmetric elimination with 1x1 and 2x2 pivots.
 
-    It updates every active (i, j) pair at each pivot and picks the diagonal
-    entry of largest magnitude, so it shares no pivot order and no sparse
-    bookkeeping with exact_inertia.
+    It updates every active (i, j) pair at each pivot, picks the diagonal
+    entry of largest magnitude and takes a 2x2 pivot on a zero diagonal, so
+    it shares no pivot order, no pivot kind for a zero diagonal and no
+    sparse bookkeeping with exact_inertia.
     """
     # the elimination works on a private list-of-lists copy
     a = [[GaussianRational.coerce(x) for x in row] for row in mat]
@@ -284,7 +297,7 @@ def sparse_gaussian_rational_hermitians(draw):
     - block_permuted: Hermitian blocks on the diagonal, then one permutation
       of rows and columns, so nonzeros sit off the band;
     - zero_rows: some rows and their columns are identically zero;
-    - zero_diagonal: no 1x1 pivot exists until a 2x2 pivot has run;
+    - zero_diagonal: no diagonal pivot exists until a congruence makes one;
     - cancelling: a sum of r < d signed projectors onto sparse vectors, so
       after r pivots every Schur update cancels to an exact zero."""
     d = draw(st.integers(1, 10))
@@ -341,7 +354,8 @@ def real_rational_hermitians(draw):
     - dense: every entry drawn, d <= 5;
     - rank_deficient: a sum of r < d signed real projectors, d <= 5;
     - sparse: d <= 10, two off-diagonal entries in three are zero;
-    - zero_diagonal: sparse with a zero diagonal, so the first pivot is 2x2."""
+    - zero_diagonal: sparse with a zero diagonal, so the first pivot needs a
+      congruence to make its diagonal entry nonzero."""
     kind = draw(st.sampled_from(["dense", "rank_deficient", "sparse", "zero_diagonal"]))
     d = draw(st.integers(1, 5 if kind in ("dense", "rank_deficient") else 10))
     if kind == "rank_deficient":

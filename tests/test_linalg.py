@@ -119,3 +119,33 @@ def test_stacked_spectrum_inertia_matches_per_row_calls(rng, tol):
     # a leading batch shape of more than one axis is kept
     (neg, _, _), marginal = spectrum_inertia(stacks[0].reshape(5, 10, 6), tol)
     assert neg.shape == marginal.shape == (5, 10)
+
+
+def six_count_marginal(values, tol):
+    """Reference: the flag as a change of any of the (neg, pos) counts taken at
+    tol/10, tol and 10*tol, each band tol * max(1, max|lambda|)."""
+    unit = np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))[..., None]
+
+    def counts(t):
+        return (values < -t * unit).sum(axis=-1), (values > t * unit).sum(axis=-1)
+
+    (neg, pos), (neg_lo, pos_lo), (neg_hi, pos_hi) = counts(tol), counts(tol / 10), counts(tol * 10)
+    return (neg_lo != neg) | (pos_lo != pos) | (neg_hi != neg) | (pos_hi != pos)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 0.3])
+def test_marginal_band_matches_the_six_count_rule(tol):
+    # a spectrum within 0.03 of 0 is off the band even at tol = 0.3
+    rows = np.concatenate([_band_edge_spectra(tol, scale) for scale in (1.0, 7.0, 0.25)]
+                          + [[[0.0, 0.01, -0.02, 0.0]]])
+    # one ulp either side of each edge, where the two rules could first part
+    for spectrum in _band_edge_spectra(tol, 3.0):
+        for direction in (0.0, np.inf):
+            nudged = spectrum.copy()
+            nudged[0] = np.nextafter(nudged[0], np.copysign(direction, nudged[0]))
+            rows = np.vstack([rows, nudged])
+    want = six_count_marginal(rows, tol)
+    assert want.any() and not want.all()
+    _, stacked = spectrum_inertia(rows, tol)
+    assert (stacked == want).all()
+    assert [spectrum_inertia(row, tol)[1] for row in rows] == want.tolist()

@@ -9,7 +9,7 @@ from ptinertia import (State, build, build_exact, compress, dm_from_kets, is_wit
                        pt_inertia, random_state)
 from ptinertia.catalog import entry_ids
 from ptinertia.matio import loads_matrix
-from ptinertia.witness import corner_projector
+from ptinertia.witness import NotAWitness, corner_projector
 
 
 def test_min_product_on_identity_is_one():
@@ -159,9 +159,25 @@ def test_product_minimum_bounded_by_state_spectrum(seed, dims, rank, ensemble):
     assert value >= np.linalg.eigvalsh(rho.mat)[0] - 1e-9
 
 
-@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1}, {"iter_cap": 0}])
+@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1}])
 def test_min_product_rejects_empty_search(kwargs):
-    # with no restart or no iteration no product vector is tried, and the
-    # old (inf, None) result claimed a minimum of +inf for -I
-    with pytest.raises(ValueError, match="restarts and iter_cap must be >= 1"):
+    # with no restart no product vector is tried, and the old (inf, None)
+    # result claimed a minimum of +inf for -I
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
         min_product_expectation(-np.eye(4), 2, 2, **kwargs)
+
+
+@pytest.mark.parametrize("field", ["restarts", "seed"])
+def test_is_witness_rejects_a_negative_restarts_or_seed(field):
+    # restarts=-1 used to skip the cross-check silently, and seed=-1 reached
+    # numpy's own "expected non-negative integer"
+    with pytest.raises(ValueError, match=rf"^{field} must be >= 0, got -1$") as info:
+        is_witness(build("arr13_vi"), **{"restarts": 2, field: -1})
+    assert not isinstance(info.value, NotAWitness)
+
+
+def test_is_witness_verdicts_are_not_a_witness_errors():
+    with pytest.raises(NotAWitness, match="PPT"):
+        is_witness(dm_from_kets([ket_vector(2, 2, [(1, 0, 0)])], [1], 2, 2))
+    with pytest.raises(NotAWitness, match="not PSD"):
+        is_witness(State(2, 2, loads_matrix(NON_STATE).mat))
