@@ -129,7 +129,8 @@ def six_count_marginal(values, tol):
     def counts(t):
         return (values < -t * unit).sum(axis=-1), (values > t * unit).sum(axis=-1)
 
-    (neg, pos), (neg_lo, pos_lo), (neg_hi, pos_hi) = counts(tol), counts(tol / 10), counts(tol * 10)
+    (neg, pos), (neg_lo, pos_lo), (neg_hi, pos_hi) = (
+        counts(tol), counts(tol / 10), counts(tol * 10))
     return (neg_lo != neg) | (pos_lo != pos) | (neg_hi != neg) | (pos_hi != pos)
 
 
