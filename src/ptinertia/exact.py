@@ -121,14 +121,19 @@ class GaussianRational:
         return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # float(Fraction) is this int / int, behind a Python-level __float__
+        return complex(self.re.numerator / self.re.denominator,
+                       self.im.numerator / self.im.denominator)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re}, {self.im})"
 
     def __str__(self) -> str:
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}j"
+        # "p/q+r/sj" from the integer parts, as matio.parse_entry reads it
+        a, b = self.re.numerator, self.re.denominator
+        c, d = self.im.numerator, self.im.denominator
+        re_s = f"{a}" if b == 1 else f"{a}/{b}"
+        return f"{re_s}{c:+d}j" if d == 1 else f"{re_s}{c:+d}/{d}j"
 
 
 # A square numpy array of dtype=object holding GaussianRational entries.

@@ -8,9 +8,17 @@ rational token ``p/q+r/sj``; ``nan``, ``inf``, zero-denominator entries and
 rationals too large for a float are rejected.  Files whose every entry is
 rational also carry an exact view, an ExactMatrix (object array of
 GaussianRational), for the exact inertia path; dumps_matrix also takes nested
-lists for it.  loads_matrix parses each distinct token of a file once, so the
-cells holding one token share one GaussianRational.  A ket literal's
-coefficients are entry tokens too, read by the same parse_entry.
+lists for it.  A ket literal's coefficients are entry tokens too, read by the
+same parse_entry, which builds each rational part from the integers of its
+token.
+
+loads_matrix costs time per distinct token, not per cell: it numbers the
+distinct tokens of a file in order of first appearance, parses each once,
+and fills both views by indexing the parsed values with one array of token
+numbers, so the cells holding one token share one GaussianRational.  Of
+several faults in a file the first in reading order is reported: a row of
+the wrong length after every token of the rows above it is checked, a
+non-finite token at the row and column where it first appears.
 """
 
 from __future__ import annotations
@@ -20,14 +28,16 @@ import io
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .exact import ExactMatrix, GaussianRational
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_RAT_FULL = re.compile(rf"^({_RAT})(?:([+-]\d+(?:/\d+)?)j)?$")
-_RAT_IMAG = re.compile(rf"^({_RAT})j$")
+# groups: numerator, then denominator or None, of each rational part
+_RAT_FULL = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?j)?$")
+_RAT_IMAG = re.compile(r"^([+-]?\d+)(?:/(\d+))?j$")
+_ZERO = Fraction(0)
 
 _KET_TERM = re.compile(r"([+-]?)\s*([^|+-]*)\s*\|\s*(\d+)\s*,\s*(\d+)\s*>")
 
@@ -46,18 +56,22 @@ class MatrixFile:
         return self.m > 0 and self.n > 0
 
 
+def _fraction(num: str, den: str | None) -> Fraction:
+    # Fraction(int, int) skips the string parse of Fraction("p/q")
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
 def parse_entry(token: str) -> tuple[complex, GaussianRational | None]:
     """Parse one entry token; returns (float value, exact value or None)."""
     try:
         match = _RAT_FULL.match(token)
         if match:
-            re_part = Fraction(match.group(1))
-            im_part = Fraction(match.group(2)) if match.group(2) else Fraction(0)
-            g = GaussianRational(re_part, im_part)
+            p, q, r, s = match.groups()
+            g = GaussianRational(_fraction(p, q), _fraction(r, s) if r else _ZERO)
             return complex(g), g
         match = _RAT_IMAG.match(token)
         if match:
-            g = GaussianRational(0, Fraction(match.group(1)))
+            g = GaussianRational(_ZERO, _fraction(*match.groups()))
             return complex(g), g
         return complex(token), None
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -81,7 +95,10 @@ def loads_matrix(text: str) -> MatrixFile:
     header = lines[0].split()
     if len(header) != 3:
         raise ValueError(f"header must be 'dim m n', got {lines[0]!r}")
-    dim, m, n = (int(tok) for tok in header)
+    try:
+        dim, m, n = map(int, header)
+    except ValueError:
+        raise ValueError(f"header must be 'dim m n' integers, got {lines[0]!r}") from None
     if dim <= 0:
         raise ValueError("matrix dimension must be positive")
     if (m, n) != (0, 0) and (m <= 0 or n <= 0):
@@ -90,24 +107,28 @@ def loads_matrix(text: str) -> MatrixFile:
         raise ValueError(f"bipartite header ({m},{n}) inconsistent with dim={dim}")
     if len(lines) - 1 != dim:
         raise ValueError(f"expected {dim} matrix rows, found {len(lines) - 1}")
-    # a file repeats few distinct tokens: parse each once, share its values
-    memo: dict[str, tuple[complex, GaussianRational | None]] = {}
+    rows = [line.split() for line in lines[1:]]
+    # a short or long row is reported only after the tokens of the rows above it
+    bad = next((i for i, row in enumerate(rows) if len(row) != dim), None)
+    tokens = list(chain.from_iterable(rows[:bad]))
+    number = dict.fromkeys(tokens)  # distinct tokens in reading order
     cells = []
-    for i, line in enumerate(lines[1:]):
-        tokens = line.split()
-        if len(tokens) != dim:
-            raise ValueError(f"row {i} has {len(tokens)} entries, expected {dim}")
-        for j, tok in enumerate(tokens):
-            cell = memo.get(tok)
-            if cell is None:
-                cell = memo[tok] = parse_entry(tok)
-                if not cmath.isfinite(cell[0]):
-                    raise ValueError(f"row {i}, column {j}: non-finite entry {tok!r}")
-            cells.append(cell)
-    mat = np.array([value for value, _ in cells], dtype=complex).reshape(dim, dim)
+    for k, tok in enumerate(number):
+        cell = parse_entry(tok)
+        if not cmath.isfinite(cell[0]):
+            i, j = divmod(tokens.index(tok), dim)
+            raise ValueError(f"row {i}, column {j}: non-finite entry {tok!r}")
+        number[tok] = k
+        cells.append(cell)
+    if bad is not None:
+        raise ValueError(f"row {bad} has {len(rows[bad])} entries, expected {dim}")
+    index = np.fromiter(map(number.__getitem__, tokens), dtype=np.intp,
+                        count=len(tokens)).reshape(dim, dim)
+    values, exacts = zip(*cells)
+    mat = np.array(values, dtype=complex)[index]
     exact: ExactMatrix | None = None
-    if all(g is not None for _, g in memo.values()):
-        exact = np.array([g for _, g in cells], dtype=object).reshape(dim, dim)
+    if all(g is not None for g in exacts):
+        exact = np.array(exacts, dtype=object)[index]
     return MatrixFile(mat=mat, m=m, n=n, exact=exact)
 
 

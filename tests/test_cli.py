@@ -371,3 +371,11 @@ def test_verify_ew_on_a_rational_file_that_is_not_exactly_hermitian_exits_2(tmp_
     code, out, err = run(capsys, "verify-ew", "--file", str(path))
     assert (code, out) == (2, "")
     assert err == "error: exact_inertia requires an exactly Hermitian matrix\n"
+
+
+def test_inertia_on_a_non_integer_header_quotes_the_header(tmp_path, capsys):
+    path = tmp_path / "header.txt"
+    path.write_text("2 x 0\n1 0\n0 1\n")
+    code, out, err = run(capsys, "inertia", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: header must be 'dim m n' integers, got '2 x 0'\n"

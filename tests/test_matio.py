@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ptinertia import Inertia, build_exact, matio, pt_array
 from ptinertia.exact import GaussianRational, exact_inertia
@@ -56,6 +58,12 @@ def test_mixed_file_loses_exactness():
     ("2 0 0\n1 0\n1+nanj 1\n", "row 1, column 0: non-finite"),
     ("4 -2 -2\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", r"needs m, n > 0"),
     ("2 0 0\n1 0\n0 1" + "0" * 400 + "\n", "cannot parse matrix entry"),
+    ("2 x 0\n1 0\n0 1\n", r"^header must be 'dim m n' integers, got '2 x 0'$"),
+    ("2 2.0 1\n1 0\n0 1\n", r"^header must be 'dim m n' integers, got '2 2.0 1'$"),
+    # the first fault in reading order is the one reported
+    ("2 0 0\n1 nan\n0\n", r"^row 0, column 1: non-finite entry 'nan'$"),
+    ("2 0 0\n1\n0 nan\n", r"^row 0 has 1 entries, expected 2$"),
+    ("2 0 0\n1/0 1\n0\n", r"^cannot parse matrix entry '1/0'$"),
 ])
 def test_malformed_files_raise(text, message):
     with pytest.raises(ValueError, match=message):
@@ -156,3 +164,63 @@ def test_parse_ket_reads_coefficients_as_matrix_entries():
     assert vec[0] == 0.5j and vec[1] == 0.5 and vec[3] == -0.75j
     for token in ["1/2j", "-2/3j", "1.5", "2j", "3/4"]:
         assert matio.parse_ket(f"{token}|1,0>", 2, 2)[2] == matio.parse_entry(token)[0]
+
+
+def _old_str(g):
+    """GaussianRational.__str__ as the f-string over Fraction parts it replaced."""
+    sign = "+" if g.im >= 0 else "-"
+    return f"{g.re}{sign}{abs(g.im)}j"
+
+
+_big = st.integers(-10 ** 40, 10 ** 40)
+_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    st.builds(Fraction, _big, st.integers(1, 10 ** 40)),
+)
+
+
+@given(_rationals, _rationals)
+def test_entry_token_round_trips_through_str(re_part, im_part):
+    g = GaussianRational(re_part, im_part)
+    token = str(g)
+    assert token == _old_str(g)
+    value, exact = matio.parse_entry(token)
+    assert exact == g and type(exact.re) is Fraction and type(exact.im) is Fraction
+    assert value == complex(g) == complex(float(re_part), float(im_part))
+
+
+_digits = st.from_regex(r"\A[0-9]{1,30}\Z")
+
+
+@given(st.sampled_from(["", "+", "-"]), _digits, st.none() | _digits,
+       st.none() | st.tuples(st.sampled_from("+-"), _digits, st.none() | _digits),
+       st.booleans())
+def test_parse_entry_matches_the_fraction_string_parse(sign, p, q, imag, pure_imag):
+    """Rational tokens ``p/q+r/sj`` and ``p/qj`` against Fraction(str) of each part."""
+    re_text = sign + p + (f"/{q}" if q is not None else "")
+    if pure_imag:
+        token, re_ref, im_ref = re_text + "j", "0", re_text
+    elif imag is None:
+        token, re_ref, im_ref = re_text, re_text, "0"
+    else:
+        im_sign, r, s = imag
+        im_text = im_sign + r + (f"/{s}" if s is not None else "")
+        token, re_ref, im_ref = re_text + im_text + "j", re_text, im_text
+    try:
+        re_part, im_part = Fraction(re_ref), Fraction(im_ref)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse matrix entry '{token}'")):
+            matio.parse_entry(token)
+        return
+    value, exact = matio.parse_entry(token)
+    assert exact == GaussianRational(re_part, im_part)
+    assert value == complex(float(re_part), float(im_part))
+
+
+@given(st.sampled_from(["", "-"]), _digits, st.sampled_from(["", "j", "+1j", "-1/2j"]))
+def test_zero_denominator_token_is_a_parse_error(sign, p, tail):
+    token = f"{sign}{p}/0{tail}"
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse matrix entry '{token}'")):
+        matio.parse_entry(token)
