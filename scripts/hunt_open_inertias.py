@@ -23,6 +23,17 @@ OPEN_TRIPLES = [Inertia(3, 2, 4), Inertia(4, 1, 4)]
 EXCLUDED_TRIPLES = [Inertia(2, 4, 3), Inertia(3, 3, 3), Inertia(4, 2, 3)]
 
 
+def _configs(args) -> list[SearchConfig]:
+    """One 3x3 search config per ensemble; bad input raises ValueError."""
+    try:
+        ranks = tuple(int(r) for r in args.ranks.split(","))
+    except ValueError:
+        raise ValueError(f"--ranks: cannot parse rank set {args.ranks!r}") from None
+    return [SearchConfig(m=3, n=3, ranks=ranks, ensemble=ensemble,
+                         samples=args.samples, seed=args.seed, workers=args.workers)
+            for ensemble in ("real", "complex", "structured")]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--samples", type=int, default=100000,
@@ -34,15 +45,17 @@ def main() -> int:
     ap.add_argument("--log", default=None, help="append record lines here")
     args = ap.parse_args()
 
-    ranks = tuple(int(r) for r in args.ranks.split(","))
+    try:
+        configs = _configs(args)
+    except ValueError as exc:
+        # one line and exit 2, as the CLI does; exit 1 means alarm(s) found
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     alarm_set = OPEN_TRIPLES + EXCLUDED_TRIPLES
     hits = 0
-    for ensemble in ("real", "complex", "structured"):
-        cfg = SearchConfig(m=3, n=3, ranks=ranks, ensemble=ensemble,
-                           samples=args.samples, seed=args.seed,
-                           workers=args.workers)
+    for cfg in configs:
         record = run_search(cfg, alarm_set)
-        print(f"ensemble={ensemble} samples={cfg.samples} "
+        print(f"ensemble={cfg.ensemble} samples={cfg.samples} "
               f"marginal={record.marginal} alarms={len(record.alarms)}")
         for triple, count in sorted(record.counts.items()):
             print(f"  {triple} {count}")

@@ -4,7 +4,9 @@ Every entry is a weighted ket mixture, so each family can be rebuilt both in
 floating point and (for rational data) in exact Gaussian-rational arithmetic.
 Both builds share one ket loop; the exact one is an ExactMatrix, whose PT is
 the same states.pt_array the float route takes, and adds each weighted
-projector only on its ket's support.
+projector only on its ket's support: as Gaussian-integer numerators over one
+common denominator (rescaled when a term's denominator does not divide it),
+with one GaussianRational made per nonzero cell at the end.
 verify() recomputes the inertia through both routes and compares against the
 entry's expected rule; a handful of families whose conventional printed forms
 do not reproduce their advertised inertia are realized through verified
@@ -13,6 +15,7 @@ substitute constructions, documented in their notes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -451,13 +454,35 @@ def build_exact(entry_id: str, **overrides) -> ExactMatrix | None:
         return None
     if any(w.im != 0 or w.re <= 0 for w, _ in pairs):
         return None  # weights must be positive rationals
+    # sum w|psi><psi| as Gaussian-integer numerators over one denominator `den`,
+    # each projector only on its ket's support: catalog kets have 1-3 terms
+    den = 1
+    acc: dict[tuple[int, int], list[int]] = {}
+    for w, ket in pairs:
+        support = [(k, x) for k, x in enumerate(ket.tolist()) if x]
+        scale = math.lcm(*(part.denominator for _, x in support for part in (x.re, x.im)))
+        ints = [(k, x.re.numerator * (scale // x.re.denominator),
+                 x.im.numerator * (scale // x.im.denominator)) for k, x in support]
+        term_den = scale * scale * w.re.denominator
+        grown = math.lcm(den, term_den)
+        if grown != den:
+            rescale = grown // den
+            for cell in acc.values():
+                cell[0] *= rescale
+                cell[1] *= rescale
+            den = grown
+        factor = w.re.numerator * (den // term_den)
+        for r, ar, ai in ints:
+            for c, br, bi in ints:
+                # a conj(b) = (a_r b_r + a_i b_i) + i (a_i b_r - a_r b_i)
+                cell = acc.setdefault((r, c), [0, 0])
+                cell[0] += factor * (ar * br + ai * bi)
+                cell[1] += factor * (ai * br - ar * bi)
     d = entry.dims[0] * entry.dims[1]
     rho = np.full((d, d), GaussianRational(), dtype=object)
-    for w, ket in pairs:
-        # each projector only on its ket's support: catalog kets have 1-3 terms
-        nz = np.flatnonzero(ket)
-        sub = ket[nz]
-        rho[np.ix_(nz, nz)] += np.outer(sub, np.conj(sub)) * w.re
+    for (r, c), (re, im) in acc.items():
+        if re or im:
+            rho[r, c] = GaussianRational(Fraction(re, den), Fraction(im, den))
     return rho
 
 

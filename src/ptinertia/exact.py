@@ -18,14 +18,17 @@ the cost of GaussianRational arithmetic.
 
 An exact matrix (ExactMatrix) is a numpy ``dtype=object`` array of
 GaussianRational, so numpy's own operations serve it: states.pt_array is its
-partial transpose, np.outer/np.conj build projectors, ``.astype(complex)`` is
-its float view.  No zero band is needed here; the float one is linalg.zero_band.
+partial transpose, ``.astype(complex)`` is its float view.  catalog.build_exact
+sums its weighted projectors as Gaussian-integer numerators over one common
+denominator and makes a GaussianRational only for each nonzero cell, since
+every GaussianRational operation normalises its Fractions by a gcd.  No zero
+band is needed here; the float one is linalg.zero_band.
 
 GaussianRational values are immutable: arithmetic returns new objects and
 nothing assigns to ``re`` or ``im`` after construction.  Cells of an exact
 matrix may therefore share one object (matio.loads_matrix gives every
-occurrence of a token the same value; catalog.build_exact fills the
-complement of each ket's support with one zero).
+occurrence of a token the same value; catalog.build_exact fills every zero
+cell, including the complement of the kets' supports, with one zero).
 """
 
 from __future__ import annotations

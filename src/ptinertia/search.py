@@ -123,6 +123,27 @@ def _alarms_from_json(raw: list) -> list[Alarm]:
                                             indices, ranks, map(tuple, paths))))
 
 
+def _counts_from_json(raw: list, cfg: SearchConfig, marginal) -> dict[Inertia, int]:
+    """Logged counts: each inertia 3 non-negative ints summing to m*n, each count
+    and the marginal tally a non-negative int, and together they make up
+    cfg.samples, as run_search asserts on write.  Checked column-wise, as the
+    alarms are."""
+    counts = {Inertia(*k): v for k, v in raw}
+    d = cfg.m * cfg.n
+    if not (set(map(type, chain(*counts))) <= {int}
+            and min(chain(*counts), default=0) >= 0 and set(map(sum, counts)) <= {d}):
+        raise ValueError(f"counts need each inertia to be 3 non-negative ints summing to {d}")
+    tallies = list(counts.values())
+    if not (set(map(type, tallies)) <= {int} and min(tallies, default=0) >= 0):
+        raise ValueError("counts need each count to be a non-negative int")
+    if type(marginal) is not int or marginal < 0:
+        raise ValueError(f"marginal must be a non-negative int, got {marginal!r}")
+    if sum(tallies) + marginal != cfg.samples:
+        raise ValueError(f"counts plus marginal make {sum(tallies) + marginal}, "
+                         f"not the record's samples {cfg.samples}")
+    return counts
+
+
 @dataclass
 class SearchRecord:
     config: SearchConfig
@@ -168,7 +189,7 @@ class SearchRecord:
             )
             if not isinstance(data["counts"], list) or not isinstance(data["alarms"], list):
                 raise ValueError("counts and alarms must be lists")
-            counts = {Inertia(*k): v for k, v in data["counts"]}
+            counts = _counts_from_json(data["counts"], cfg, data["marginal"])
             alarms = _alarms_from_json(data["alarms"])
             scheme = data.get("seed_scheme", 1)
             record = cls(config=cfg, config_hash=data["config_hash"], counts=counts,

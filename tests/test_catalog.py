@@ -1,14 +1,17 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ptinertia import (Inertia, build, build_exact, chain_seed, herm_eig,
                        ket_vector, lemma3n_family, local_ranks,
                        partial_transpose, pt_array, pt_inertia, schmidt, verify,
                        verify_all)
-from ptinertia.catalog import (_merge_params, _weighted_kets, entry_ids, ex11_closed_form,
-                               expected_inertia, get_entry)
+from ptinertia.catalog import (_REGISTRY, CatalogEntry, _merge_params, _weighted_kets,
+                               entry_ids, ex11_closed_form, expected_inertia, get_entry)
+from ptinertia.cli import main
 from ptinertia.exact import GaussianRational, exact_inertia
 
 THIRTEEN = {
@@ -202,6 +205,16 @@ def _dense_exact_build(entry_id, **params):
     return sum(np.outer(ket, np.conj(ket)) * w.re for w, ket in pairs)
 
 
+def _assert_zero_cells_share_one_object(rho, pairs):
+    """Every zero cell, and so every cell off all the kets' supports, is one object."""
+    support = {k for _, ket in pairs for k in np.flatnonzero(ket).tolist()}
+    zeros = [x for x in rho.flat if not x]
+    assert all(x is zeros[0] for x in zeros)
+    d = len(rho)
+    assert all(not rho[r, c] for r in range(d) for c in range(d)
+               if r not in support or c not in support)
+
+
 RATIONAL_POINTS = DYADIC_POINTS + [
     ("npt2_ivc", {"a": Fraction(2, 3), "b": Fraction(1, 5), "e": Fraction(3, 7)}),
     # cross terms of the two kets cancel in cell (|0,0>, |1,1>): 1 + a e* = 0
@@ -221,12 +234,102 @@ def test_support_only_exact_build_equals_the_dense_sum(entry_id, params):
     assert got.shape == want.shape
     assert all(type(g) is GaussianRational for g in got.flat)
     assert all(g == w for g, w in zip(got.flat, want.flat))
+    entry = get_entry(entry_id)
+    pairs = _weighted_kets(entry, _merge_params(entry, params), GaussianRational.coerce)
+    _assert_zero_cells_share_one_object(got, pairs)
 
 
 def test_support_only_build_cancels_exactly():
     rho = build_exact("npt2_ivc", a=1, b=Fraction(1, 2), e=-1)
     assert rho[0, 4] == 0 and rho[4, 0] == 0
     assert rho[0, 0] == 2  # |1|^2 from each ket
+
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+_coefficients = st.one_of(st.integers(-3, 3), _fractions,
+                          st.builds(GaussianRational, _fractions, _fractions))
+_weights = st.builds(Fraction, st.integers(1, 9), st.integers(1, 12))
+
+
+@st.composite
+def weighted_ket_families(draw):
+    """(dims, terms) of a random family of rational and Gaussian-rational kets."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    index = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    terms = [(draw(_weights), [(draw(_coefficients), i, j)
+                               for i, j in draw(st.lists(index, max_size=4))])
+             for _ in range(draw(st.integers(1, 4)))]
+    kind = draw(st.sampled_from(["random", "cancelling", "all_zero"]))
+    w, ket = terms[0]
+    if kind == "cancelling" and ket:
+        # the first ket with one amplitude negated, at the same weight: that
+        # amplitude's cross terms with the rest of the ket cancel in the sum
+        (c, i, j), *rest = ket
+        terms.append((w, [(-c, i, j)] + rest))
+    elif kind == "all_zero":
+        # a ket whose terms sum to zero, and one with no terms at all
+        c, (i, j) = draw(_coefficients), draw(index)
+        terms += [(draw(_weights), [(c, i, j), (-c, i, j)]), (draw(_weights), [])]
+    return (m, n), terms
+
+
+@given(weighted_ket_families())
+def test_exact_build_equals_the_dense_sum_on_random_kets(family):
+    dims, terms = family
+    entry = CatalogEntry(id="random_family", dims=dims, defaults={},
+                         terms=lambda p: terms, expected=lambda p: None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(_REGISTRY, entry.id, entry)
+        got = build_exact(entry.id)
+        want = _dense_exact_build(entry.id)
+    assert got.shape == want.shape
+    assert all(type(g) is GaussianRational for g in got.flat)
+    assert all(g == w for g, w in zip(got.flat, want.flat))
+    _assert_zero_cells_share_one_object(
+        got, _weighted_kets(entry, {}, GaussianRational.coerce))
+
+
+# sha256 of the `catalog dump <id>` bytes, which format only the exact cells
+DUMP_SHA256 = {
+    "arr13_i": "189fe02746d4684311fba8db8992ef1664ad14f987eaad5343cb88a8be425ac5",
+    "arr13_ii": "e1fa3560198938bf7e009195e219c8d2f52300af693c30372fa2fad671f09178",
+    "arr13_iii": "274b33644775f7c94f40d0ee3cb7276e5db39ac98b72d1f163008d8aaae6efb0",
+    "arr13_iv": "47eaa6b747795bcadd11e8b4d71d76569a66dd019d4f0095bf35751a192a9614",
+    "arr13_ix": "8cf4402b31894f1b8c55e93eaed26773d12b35fbfa69744832929bad9cad0533",
+    "arr13_v": "67cf3f4887737a7da33bb645a20e0ace4e93e18b8295e464d48fef4d2c4453c6",
+    "arr13_vi": "9399bccada23253134a0a02dcb17468f43a2155588897369c0e7568edba9a419",
+    "arr13_vii": "d35d22193d810abd6ad0307d1e4b259d7d57c449ec705bbf47d4d4a8a699d66b",
+    "arr13_viii": "58affa907ecebdd7ed747279e0054fc8c13bc85b72f20c10b5a7a05c7df56923",
+    "arr13_x": "df1958a4684098de634b19c3e23362103d289b76bceadabe5afb14c57e539bb3",
+    "arr13_xi": "c1cb32d5abc9fbf7624d94b2bcefb6ad2353b0acee625dae2a8639fcd2854756",
+    "arr13_xii": "0c2e7922bdcdc45017d83eda70795d146f42d6aaf6891f585787453d8f7cf5c1",
+    "arr13_xiii": "a7c8ba8581c8226af5d0989f2038432eb5230c740f6f2999d85ea6577cc4ed13",
+    "arr23_xi": "4630f1ff331228223dd76d93d8eaa47d875890c5104c0cb306a6069cf0cc1f3f",
+    "arr23_xii": "2d28eda5d9e34dfa0de7c0016ebcb4819909f3468a73c3a38b2f42a7da21b0b2",
+    "arr23_xiii": "e77672f0b929bc336f6cd443b00fd7e0551021924e29060a2090493243a8ec60",
+    "ex11": "48b01a253fd0d5f4f1efe71188a1b9f9fabf734ea2435dfab6e2187c093a6617",
+    "npt2_i": "67cf3f4887737a7da33bb645a20e0ace4e93e18b8295e464d48fef4d2c4453c6",
+    "npt2_iia": "8cf4402b31894f1b8c55e93eaed26773d12b35fbfa69744832929bad9cad0533",
+    "npt2_iib": "b65d52f18d5843de431dfa54b51b3525e3dbc71db2a109879c72de682421abec",
+    "npt2_iii": "48b01a253fd0d5f4f1efe71188a1b9f9fabf734ea2435dfab6e2187c093a6617",
+    "npt2_iva": "58293e824c34c9611cfbb07c5c728177a7deacb68cc98126c3b7d71ef142ed05",
+    "npt2_ivb": "fd34619675aa7ccb4508beff41f742bd37f1fd6768a539884b0d5a9455cb2205",
+    "npt2_ivc": "ebe93c083804a013c3464eac4a7596ace9f4aa140dbd4038e1ec8f865f6445a6",
+    "npt2_ivd": "a7f6d4c7ab25f32003260312f158bac6a195d89d7e44dbec0dacf41bf62398a6",
+    "pure22_r2": "3a037a568337a5daa5fc185ab7c0aa92c02f96603b864cc595ed94fa86e33a9a",
+    "pure23_r2": "84e79c15ca34eafc75660cfdc2ac2f90499c2fab925b005096b5891a551a76ad",
+}
+
+
+def test_dump_digests_cover_the_catalog():
+    assert sorted(DUMP_SHA256) == entry_ids()
+
+
+@pytest.mark.parametrize("entry_id", sorted(DUMP_SHA256))
+def test_catalog_dump_bytes_are_pinned(capsys, entry_id):
+    assert main(["catalog", "dump", entry_id]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_SHA256[entry_id]
 
 
 @pytest.mark.parametrize("entry_id, params", [

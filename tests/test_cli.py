@@ -321,6 +321,25 @@ def test_replay_of_a_bool_tol_zero_record_exits_2(tmp_path, capsys):
     assert err == f"error: {tmp_path / 'runs.log'}, line 1: tol_zero must be a real number, got True\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data.update(marginal="seven"), "marginal must be a non-negative int"),
+    (lambda data: data["counts"][0].__setitem__(1, 1.5), "counts need each count to be"),
+    (lambda data: data["counts"][0].__setitem__(1, -100), "counts need each count to be"),
+    (lambda data: data["counts"][0].__setitem__(0, ["a", "b", "c"]), "counts need each inertia to be"),
+    (lambda data: data.update(marginal=data["marginal"] + 1), "counts plus marginal make"),
+], ids=["marginal-string", "count-float", "count-negative", "triple-strings", "sum"])
+def test_replay_of_a_hand_edited_tally_exits_2(tmp_path, capsys, edit, message):
+    log = tmp_path / "runs.log"
+    assert run(capsys, "search", "--dims", "3", "3", "--ranks", "3", "--samples", "200",
+               "--seed", "17", "--alarm", "(3,0,6)", "--log", str(log))[0] == 0
+    data = json.loads(log.read_text())
+    edit(data)
+    log.write_text(json.dumps(data) + "\n")
+    code, out, err = run(capsys, "replay", "--log", str(log))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {log}, line 1: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("alarm, triple", [
     ("(1.5,2,3)", "(1.5,2,3)"),
     ("(3,2,4); (a,1,4)", "(a,1,4)"),

@@ -1,8 +1,10 @@
-"""Smoke tests: each script under scripts/ runs to completion as a subprocess."""
+"""Each script under scripts/ runs as a subprocess: to completion, or to exit 2 on bad input."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from ptinertia.search import load_records
 
@@ -28,3 +30,18 @@ def test_hunt_script_writes_one_record_per_ensemble(tmp_path):
     records = load_records(log)
     assert [r.config.ensemble for r in records] == ["real", "complex", "structured"]
     assert all(r.config.samples == 64 and r.config.seed == 7 for r in records)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--ranks", "2,x"], "--ranks: cannot parse rank set '2,x'"),
+    (["--samples", "0"], "samples must be >= 1"),
+    (["--seed", "-3"], "seed must be >= 0, got -3"),
+    (["--workers", "0"], "workers must be >= 1, got 0"),
+])
+def test_hunt_script_rejects_bad_input_with_exit_2(tmp_path, args, message):
+    # exit 1 is the script's status for "alarm(s) found", so bad input exits 2
+    log = tmp_path / "hunt.log"
+    proc = run_script("hunt_open_inertias.py", *args, "--log", str(log))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
+    assert not log.exists()

@@ -253,6 +253,14 @@ def _good_line():
                  "seed": 1, "tol_zero": True}}, "tol_zero must be a real number, got True"),
     ({"config": {"m": 2, "n": 2, "ranks": [2], "ensemble": "real", "samples": 20,
                  "seed": 1, "tol_zero": "1e-9"}}, "tol_zero must be a real number"),
+    ({"marginal": "seven"}, "marginal must be a non-negative int, got 'seven'"),
+    ({"counts": [[[1, 0, 3], 1.5]]}, "each count to be a non-negative int"),
+    ({"counts": [[[1, 0, 3], -100]]}, "each count to be a non-negative int"),
+    ({"counts": [[["a", "b", "c"], 20]]}, "each inertia to be 3 non-negative ints summing to 4"),
+    ({"counts": [[[2, -1, 3], 20]]}, "each inertia to be 3 non-negative ints"),
+    ({"counts": [[[1, 1, 3], 20]]}, "each inertia to be 3 non-negative ints summing to 4"),
+    ({"counts": [[[1, 0, 3], 19]], "marginal": 0}, "counts plus marginal make 19, "
+                                                   "not the record's samples 20"),
 ])
 def test_malformed_log_line_names_its_line(tmp_path, edit, message):
     good = _good_line()
