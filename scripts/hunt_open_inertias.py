@@ -47,7 +47,10 @@ def main() -> int:
 
     try:
         configs = _configs(args)
-    except ValueError as exc:
+        if args.log:
+            # an unwritable log fails here, before the first run, not after it
+            open(args.log, "a", encoding="utf-8").close()
+    except (ValueError, OSError) as exc:
         # one line and exit 2, as the CLI does; exit 1 means alarm(s) found
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -172,6 +172,9 @@ def cmd_search(args) -> int:
                               samples=args.samples, seed=args.seed,
                               workers=args.workers, tol_zero=args.tol)
     alarms = _parse_alarms(args.alarm) if args.alarm else []
+    if args.log:
+        # an unwritable log fails here, before the search, not after it
+        open(args.log, "a", encoding="utf-8").close()
     record = search.run_search(cfg, alarms)
     for triple, count in sorted(record.counts.items(),
                                 key=lambda kv: (-kv[1], kv[0])):

@@ -226,8 +226,9 @@ def _block_generator(cfg: SearchConfig, seed_path, index: int) -> np.random.Gene
 def _scan_range(cfg: SearchConfig, start: int, stop: int,
                 alarm_set: frozenset[Inertia]):
     """Tally one contiguous index range; batched eigensolves per chunk."""
-    d = cfg.m * cfg.n
-    complex_mode = cfg.ensemble == "complex"
+    m, n, ensemble, seed, rank_for = cfg.m, cfg.n, cfg.ensemble, cfg.seed, cfg.rank_for
+    d = m * n
+    complex_mode = ensemble == "complex"
     counts: dict[Inertia, int] = {}
     marginal = 0
     alarms: list[Alarm] = []
@@ -237,10 +238,9 @@ def _scan_range(cfg: SearchConfig, start: int, stop: int,
         gammas = np.empty((hi - lo, d, d), dtype=complex if complex_mode else float)
         for idx in range(lo, hi):
             if idx % BLOCK == 0 or idx == start:
-                rng = _block_generator(cfg, _seed_path(cfg.seed, idx), idx)
-            state = random_state(cfg.m, cfg.n, cfg.rank_for(idx), cfg.ensemble,
-                                 seed=rng)
-            gamma = pt_array(state.mat, cfg.m, cfg.n)
+                rng = _block_generator(cfg, _seed_path(seed, idx), idx)
+            state = random_state(m, n, rank_for(idx), ensemble, seed=rng)
+            gamma = pt_array(state.mat, m, n)
             gammas[idx - lo] = gamma if complex_mode else gamma.real
         vals = np.linalg.eigvalsh(gammas)
         (neg, _, pos), is_marginal = spectrum_inertia(vals, cfg.tol_zero)
@@ -260,7 +260,7 @@ def _scan_range(cfg: SearchConfig, start: int, stop: int,
             for off in np.flatnonzero(hits).tolist():
                 idx = lo + off
                 alarms.append(Alarm(alarm_triples[int(codes[off])], idx,
-                                    cfg.rank_for(idx), _seed_path(cfg.seed, idx)))
+                                    rank_for(idx), _seed_path(seed, idx)))
         lo = hi
     return counts, marginal, alarms
 

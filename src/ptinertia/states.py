@@ -18,6 +18,9 @@ from .linalg import (TOL_ZERO, max_abs, require_hermitian, require_invertible,
 
 SCHMIDT_TOL = 1e-10
 ENSEMBLES = ("real", "complex", "structured")
+# multiplying by this is how numpy divides a complex by np.sqrt(2), bit for bit;
+# np.sqrt(0.5) differs from it in the last bit
+_INV_SQRT2 = 1 / np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -168,9 +171,12 @@ def random_state(m: int, n: int, rank: int,
     """Wishart-style random state rho = R R^dagger / tr, reproducible by seed.
 
     R is (m*n) x rank with i.i.d. standard normal entries (real or complex).
-    The "structured" ensemble zeroes the A=0 block of R, so the resulting
-    state is unsupported on that row and every |0,y> lies in the kernel of
-    the partial transpose.  `seed` may be an int or a tuple fed to numpy's
+    A complex R takes its d*rank real parts, then its d*rank imaginary parts,
+    from one draw of 2*d*rank normals, each scaled by 1/sqrt(2); search's
+    block generator skips earlier samples on that count.  The "structured"
+    ensemble zeroes the A=0 block of R, so the resulting state is
+    unsupported on that row and every |0,y> lies in the kernel of the
+    partial transpose.  `seed` may be an int or a tuple fed to numpy's
     SeedSequence, which makes disjoint per-sample streams trivial, or a
     numpy Generator, which is drawn from in sequence: consecutive calls on
     one Generator give consecutive states of its stream.
@@ -182,7 +188,11 @@ def random_state(m: int, n: int, rank: int,
     if ensemble == "real":
         r = rng.standard_normal((d, rank))
     elif ensemble == "complex":
-        r = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))) / np.sqrt(2)
+        z = rng.standard_normal((2, d, rank))
+        z *= _INV_SQRT2
+        r = np.empty((d, rank), dtype=complex)
+        r.real = z[0]
+        r.imag = z[1]
     elif ensemble == "structured":
         if m < 2:
             raise ValueError("structured ensemble needs m >= 2")
@@ -191,8 +201,7 @@ def random_state(m: int, n: int, rank: int,
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}")
     mat = r @ r.conj().T
-    tr = float(np.real(np.trace(mat)))
-    return State(m, n, mat / tr)
+    return State(m, n, mat / mat.trace().real)
 
 
 def _quadratic_roots(a: complex, b: complex, c: complex, tol: float) -> list[np.ndarray]:

@@ -285,6 +285,14 @@ def test_unknown_catalog_id_prints_the_message_without_quotes(capsys):
     assert err.startswith("error: unknown catalog id 'nope';")
 
 
+@pytest.mark.parametrize("log", ["missing/runs.log", "."])
+def test_search_with_an_unwritable_log_exits_2_before_searching(tmp_path, capsys, log):
+    # a missing directory, or a path that is a directory: one error line, no tally
+    code, out, err = run(capsys, *SEARCH, "--log", str(tmp_path / log))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
 def test_search_seed_error_names_the_field(capsys):
     code, _, err = run(capsys, *SEARCH, "--seed", "-1")
     assert code == 2

@@ -45,3 +45,11 @@ def test_hunt_script_rejects_bad_input_with_exit_2(tmp_path, args, message):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {message}\n"
     assert not log.exists()
+
+
+@pytest.mark.parametrize("log", ["missing/hunt.log", "."])
+def test_hunt_script_with_an_unwritable_log_exits_2_before_any_run(tmp_path, log):
+    # a missing directory, or a path that is a directory: one error line, no tally
+    proc = run_script("hunt_open_inertias.py", "--samples", "64", "--log", str(tmp_path / log))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: [Errno ") and proc.stderr.count("\n") == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from collections import Counter
 
@@ -18,6 +19,32 @@ THIRTEEN = {
 }
 
 ALARUM = [Inertia(3, 2, 4), Inertia(4, 1, 4)]
+
+
+HUNT_33 = dict(m=3, n=3, ranks=(2, 3, 4, 5), samples=2048, seed=1)
+HUNT_33_ALARMS = ALARUM + [Inertia(2, 4, 3), Inertia(3, 3, 3), Inertia(4, 2, 3)]
+
+
+@pytest.mark.parametrize("cfg, alarm_set, digest", [
+    # the open-triple hunt of scripts/hunt_open_inertias.py, one config per ensemble
+    (SearchConfig(ensemble="real", **HUNT_33), HUNT_33_ALARMS,
+     "0eb8060651ead68672dc113ccd386cf5a45e7a5db1efc7a27a24d5c28c34965a"),
+    (SearchConfig(ensemble="complex", **HUNT_33), HUNT_33_ALARMS,
+     "363c5a4c25bb404e13dbb919e81646bf3a02cc7997257d53ab1817017549e06b"),
+    (SearchConfig(ensemble="structured", **HUNT_33), HUNT_33_ALARMS,
+     "3d37388ae173e5c5118e1d8c2df84c1c8726eec84b5c4fda7451e4dbb1aba5cb"),
+    # a 3x4 complex hunt on two workers, 233 alarms
+    (SearchConfig(m=3, n=4, ranks=(2, 3, 4, 5, 6), ensemble="complex", samples=32768,
+                  seed=1, workers=2),
+     [Inertia(2, 0, 10), Inertia(5, 0, 7)],
+     "ffe5ef372fe5680f0ab96e5ba9fcab07e9fcee038a33c08b2a4858eecba44665"),
+], ids=["hunt-real", "hunt-complex", "hunt-structured", "3x4-complex-2-workers"])
+def test_hunt_records_are_pinned(cfg, alarm_set, digest):
+    # a record holds counts and alarms, not matrices, so its bytes hold on any
+    # BLAS build whose spectra give the same inertias; a draw that moves one
+    # sample's inertia, or one alarm, moves the digest
+    line = run_search(cfg, alarm_set).to_json_line()
+    assert hashlib.sha256(line.encode()).hexdigest() == digest
 
 
 def test_worker_count_does_not_change_the_record():

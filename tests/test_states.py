@@ -226,6 +226,40 @@ def test_structured_ensemble_kernel():
         assert np.abs(gamma @ e).max() < 1e-12
 
 
+def _two_draw_random_state(m, n, rank, ensemble, seed):
+    """random_state's matrix as the two-draw form computes it: real parts and
+    imaginary parts drawn separately, summed, then divided by sqrt(2), and the
+    trace taken by np.trace.  The reference the one-draw form must equal."""
+    d = m * n
+    rng = np.random.default_rng(seed)
+    if ensemble == "complex":
+        r = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))) / np.sqrt(2)
+    else:
+        r = rng.standard_normal((d, rank))
+        if ensemble == "structured":
+            r[:n, :] = 0.0
+    mat = r @ r.conj().T
+    tr = float(np.real(np.trace(mat)))
+    return np.asarray(mat / tr, dtype=complex)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3), (3, 4)])
+@pytest.mark.parametrize("ensemble", ["real", "complex", "structured"])
+def test_random_state_equals_the_two_draw_form_byte_for_byte(m, n, ensemble):
+    for rank in range(1, m * n + 1):
+        for seed in (rank, (41, rank)):
+            want = _two_draw_random_state(m, n, rank, ensemble, seed)
+            assert random_state(m, n, rank, ensemble, seed).mat.tobytes() == want.tobytes()
+        # one Generator drawn in sequence: each draw must also leave the stream
+        # where the two-draw form leaves it, or the next state differs
+        got_rng, want_rng = np.random.default_rng(rank), np.random.default_rng(rank)
+        for _ in range(20):
+            want = _two_draw_random_state(m, n, rank, ensemble, want_rng)
+            got = random_state(m, n, rank, ensemble, seed=got_rng)
+            assert got.mat.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_random_state_rank_bounds():
     with pytest.raises(ValueError):
         random_state(2, 2, 5, "real", seed=0)
