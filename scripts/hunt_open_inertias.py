@@ -58,6 +58,9 @@ def main() -> int:
     hits = 0
     for cfg in configs:
         record = run_search(cfg, alarm_set)
+        if args.log:
+            # the record goes in before any output, which a closed stdout could cut short
+            append_record(args.log, record)
         print(f"ensemble={cfg.ensemble} samples={cfg.samples} "
               f"marginal={record.marginal} alarms={len(record.alarms)}")
         for triple, count in sorted(record.counts.items()):
@@ -65,8 +68,6 @@ def main() -> int:
         for alarm in record.alarms:
             print(f"  ALARM {alarm.inertia} index={alarm.index} rank={alarm.rank}")
             hits += 1
-        if args.log:
-            append_record(args.log, record)
     if hits:
         print(f"{hits} alarm(s): replay them via the CLI before celebrating")
         return 1

@@ -35,7 +35,7 @@ def _fmt(triple: Inertia) -> str:
 
 
 def _parse_alarms(text: str) -> list[Inertia]:
-    """Alarm triples "(neg,zero,pos);..."; run_search rejects an impossible one."""
+    """Alarm triples "(neg,zero,pos);..."; search.check_alarms rejects an impossible one."""
     out = []
     for chunk in text.split(";"):
         triple = chunk.strip()
@@ -171,11 +171,14 @@ def cmd_search(args) -> int:
                               ranks=tuple(args.ranks), ensemble=args.ensemble,
                               samples=args.samples, seed=args.seed,
                               workers=args.workers, tol_zero=args.tol)
-    alarms = _parse_alarms(args.alarm) if args.alarm else []
+    alarms = search.check_alarms(cfg, _parse_alarms(args.alarm))
     if args.log:
         # an unwritable log fails here, before the search, not after it
         open(args.log, "a", encoding="utf-8").close()
     record = search.run_search(cfg, alarms)
+    if args.log:
+        # the record goes in before any output, which a closed stdout could cut short
+        search.append_record(args.log, record)
     for triple, count in sorted(record.counts.items(),
                                 key=lambda kv: (-kv[1], kv[0])):
         print(f"{_fmt(triple)} {count}")
@@ -183,8 +186,6 @@ def cmd_search(args) -> int:
     print(f"alarms {len(record.alarms)}")
     for alarm in record.alarms:
         print(f"  alarm {_fmt(alarm.inertia)} index={alarm.index} rank={alarm.rank}")
-    if args.log:
-        search.append_record(args.log, record)
     print(f"# wall_time_s={record.wall_time:.3f}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Dense Hermitian linear algebra: eigendecomposition, congruence, inertia counting.
+"""Dense Hermitian linear algebra: eigendecomposition and inertia counting.
 
 Everything here works on plain complex numpy arrays.  Matrices are small
 (dimension a few tens at most), so robustness and validation win over speed.
@@ -63,15 +63,6 @@ def require_hermitian(mat: np.ndarray) -> None:
         )
 
 
-def require_invertible(mat: np.ndarray) -> None:
-    """Reject matrices whose sigma_min is at most 1e-12 * max(1, sigma_max)."""
-    s = np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[-1] <= 1e-12 * max(1.0, s[0]):
-        raise ValueError(
-            f"matrix is numerically singular (sigma_min={s[-1] if s.size else 0.0:.3e})"
-        )
-
-
 def herm_eig(mat: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, with residual validation.
 
@@ -94,22 +85,6 @@ def herm_eig(mat: np.ndarray) -> EigenDecomposition:
             f"orthonormality defect={ortho:.3e}"
         )
     return EigenDecomposition(values=values, vectors=vectors)
-
-
-def congruence(mat: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Return S M S^dagger for Hermitian M and invertible S (see require_invertible).
-
-    By Sylvester's law of inertia the result has the same signature as M.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    require_hermitian(mat)
-    if s.shape != mat.shape:
-        raise ValueError(f"shape mismatch: M is {mat.shape}, S is {s.shape}")
-    require_invertible(s)
-    out = s @ mat @ s.conj().T
-    # exact arithmetic would give a Hermitian result; discard roundoff skew
-    return 0.5 * (out + out.conj().T)
 
 
 def check_tol_zero(tol_zero: float) -> float:

@@ -269,20 +269,26 @@ def _scan_star(args):
     return _scan_range(*args)
 
 
+def check_alarms(cfg: SearchConfig, triples: Iterable[Inertia]) -> frozenset[Inertia]:
+    """The alarm triples as a set; one that no m x n PT can have (a negative
+    count, or a sum other than m*n) raises ValueError."""
+    alarm_set = frozenset(Inertia(*a) for a in triples)
+    d = cfg.m * cfg.n
+    for triple in sorted(alarm_set):
+        if min(triple) < 0 or sum(triple) != d:
+            raise ValueError(f"alarm triple {triple} must be >= 0 and sum to {d}")
+    return alarm_set
+
+
 def run_search(cfg: SearchConfig,
                alarm_set: Iterable[Inertia] = ()) -> SearchRecord:
     """Draw cfg.samples random states, tally PT inertias, log alarm hits.
 
     Marginal samples (tolerance-sensitive spectra) are tallied separately and
     never raise alarms.  The record is identical for any cfg.workers value.
-    An alarm triple that no m x n PT can have (a negative count, or a sum
-    other than m*n) raises ValueError.
+    The alarm triples pass through check_alarms.
     """
-    alarm_set = frozenset(Inertia(*a) for a in alarm_set)
-    d = cfg.m * cfg.n
-    for triple in sorted(alarm_set):
-        if min(triple) < 0 or sum(triple) != d:
-            raise ValueError(f"alarm triple {triple} must be >= 0 and sum to {d}")
+    alarm_set = check_alarms(cfg, alarm_set)
     t0 = time.perf_counter()
     spans = [(cfg, lo, min(lo + 4 * CHUNK, cfg.samples), alarm_set)
              for lo in range(0, cfg.samples, 4 * CHUNK)]
@@ -307,7 +313,12 @@ def run_search(cfg: SearchConfig,
 
 
 def replay(record: SearchRecord, alarm_index: int) -> State:
-    """Regenerate the state behind one recorded alarm, bit-for-bit."""
+    """Regenerate the state behind one recorded alarm, bit-for-bit.
+
+    The alarm must be one run_search could have written: an index below the
+    record's samples, that index's rank and seed_path, and an inertia the
+    record tallies.  Otherwise ValueError names the field.
+    """
     if record.config.digest() != record.config_hash:
         raise ValueError("stale record: config hash does not match its config")
     if not record.alarms:
@@ -317,12 +328,24 @@ def replay(record: SearchRecord, alarm_index: int) -> State:
                          f"[0, {len(record.alarms)})")
     alarm = record.alarms[alarm_index]
     cfg = record.config
+    index = alarm.index
+    if not 0 <= index < cfg.samples:
+        raise ValueError(f"alarm index {index} out of range [0, {cfg.samples})")
+    if alarm.rank != cfg.rank_for(index):
+        raise ValueError(f"alarm rank {alarm.rank} is not sample {index}'s "
+                         f"rank {cfg.rank_for(index)}")
     if record.seed_scheme == 1:
-        seed = alarm.seed_path
+        seed_path = (cfg.seed, index)
     elif record.seed_scheme == 2:
-        seed = _block_generator(cfg, alarm.seed_path, alarm.index)
+        seed_path = _seed_path(cfg.seed, index)
     else:
         raise ValueError(f"unknown seed_scheme {record.seed_scheme!r}")
+    if alarm.seed_path != seed_path:
+        raise ValueError(f"alarm seed_path {list(alarm.seed_path)} is not sample "
+                         f"{index}'s seed_path {list(seed_path)}")
+    if alarm.inertia not in record.counts:
+        raise ValueError(f"alarm inertia {alarm.inertia} is not a tallied triple of the record")
+    seed = seed_path if record.seed_scheme == 1 else _block_generator(cfg, seed_path, index)
     return random_state(cfg.m, cfg.n, alarm.rank, cfg.ensemble, seed=seed)
 
 

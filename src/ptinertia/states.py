@@ -8,13 +8,11 @@ matrices in the catalog pin this convention down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .linalg import (TOL_ZERO, max_abs, require_hermitian, require_invertible,
-                     zero_band)
+from .linalg import max_abs, require_hermitian
 
 SCHMIDT_TOL = 1e-10
 ENSEMBLES = ("real", "complex", "structured")
@@ -132,39 +130,6 @@ def dm_from_kets(kets: Sequence[np.ndarray], weights: Sequence[float], m: int, n
     return State(m, n, out)
 
 
-def trace_out_b(state: State) -> np.ndarray:
-    """Reduced matrix on A: rho_A[i,j] = sum_k rho[(i,k),(j,k)]."""
-    return np.trace(state.mat.reshape(state.m, state.n, state.m, state.n),
-                    axis1=1, axis2=3)
-
-
-def trace_out_a(state: State) -> np.ndarray:
-    return np.trace(state.mat.reshape(state.m, state.n, state.m, state.n),
-                    axis1=0, axis2=2)
-
-
-def local_ranks(state: State, tol_zero: float = TOL_ZERO) -> tuple[int, int]:
-    """Ranks of both reduced matrices, with the shared zero tolerance."""
-
-    def rank_of(red: np.ndarray) -> int:
-        vals = np.linalg.eigvalsh(red)
-        return int((np.abs(vals) > zero_band(vals, tol_zero)).sum())
-
-    return rank_of(trace_out_b(state)), rank_of(trace_out_a(state))
-
-
-def apply_slocc(state: State, a: np.ndarray, b: np.ndarray) -> State:
-    """Congruence by the product operator A x B (both invertible)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (state.m, state.m) or b.shape != (state.n, state.n):
-        raise ValueError("local operator shapes do not match state dims")
-    require_invertible(a)
-    require_invertible(b)
-    op = np.kron(a, b)
-    return State(state.m, state.n, op @ state.mat @ op.conj().T)
-
-
 def random_state(m: int, n: int, rank: int,
                  ensemble: Literal["real", "complex", "structured"] = "real",
                  seed=0) -> State:
@@ -202,63 +167,3 @@ def random_state(m: int, n: int, rank: int,
         raise ValueError(f"unknown ensemble {ensemble!r}")
     mat = r @ r.conj().T
     return State(m, n, mat / mat.trace().real)
-
-
-def _quadratic_roots(a: complex, b: complex, c: complex, tol: float) -> list[np.ndarray]:
-    """Projective roots (x:y) of a x^2 + b xy + c y^2 = 0, as unit 2-vectors."""
-    if abs(a) > tol:
-        disc = np.sqrt(complex(b * b - 4 * a * c))
-        roots = [(-b + disc) / (2 * a), (-b - disc) / (2 * a)]
-        pts = [np.array([t, 1.0], dtype=complex) for t in roots]
-    elif abs(b) > tol:
-        pts = [np.array([1.0, 0.0], dtype=complex), np.array([-c / b, 1.0], dtype=complex)]
-    else:
-        pts = [np.array([1.0, 0.0], dtype=complex)]
-    return [p / np.linalg.norm(p) for p in pts]
-
-
-def pencil_rank1(u: np.ndarray, v: np.ndarray):
-    """Points (x:y) where x*U + y*V drops to rank <= 1, or "infinite".
-
-    Each 2x2 minor of x*U + y*V is a binary quadratic in (x, y); the rank-one
-    locus is the common projective root set.  When every minor vanishes
-    identically the whole pencil has rank <= 1 and the answer is "infinite".
-    Returns a list of (x, y) pairs (unit-normalized, first nonzero component
-    made real positive) otherwise.  With scale the squared largest entry of
-    U and V, a minor vanishes at or below 1e-12 * scale, a candidate point
-    must zero every minor to within 1e-8 * scale, and two points that agree
-    up to phase to within 1e-8 count as one.
-    """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape or u.ndim != 2:
-        raise ValueError("U and V must be matrices of equal shape")
-    stack = np.stack([u.reshape(-1), v.reshape(-1)])
-    if np.linalg.matrix_rank(stack, tol=1e-10 * max(1.0, max_abs(stack))) < 2:
-        raise ValueError("U and V must be linearly independent")
-    scale = max(max_abs(u), max_abs(v)) ** 2
-    quads = []
-    rows, cols = u.shape
-    for p, q in combinations(range(rows), 2):
-        for r, s in combinations(range(cols), 2):
-            a = u[p, r] * u[q, s] - u[p, s] * u[q, r]
-            b = (u[p, r] * v[q, s] + v[p, r] * u[q, s]
-                 - u[p, s] * v[q, r] - v[p, s] * u[q, r])
-            c = v[p, r] * v[q, s] - v[p, s] * v[q, r]
-            if max(abs(a), abs(b), abs(c)) > 1e-12 * scale:
-                quads.append((a, b, c))
-    if not quads:
-        return "infinite"
-    candidates = _quadratic_roots(*quads[0], tol=1e-12 * scale)
-    points: list[np.ndarray] = []
-    for pt in candidates:
-        value = max(abs(a * pt[0] ** 2 + b * pt[0] * pt[1] + c * pt[1] ** 2)
-                    for a, b, c in quads)
-        if value > 1e-8 * scale:
-            continue
-        # canonical phase: first nonzero component real positive
-        lead = pt[0] if abs(pt[0]) > 1e-8 else pt[1]
-        pt = pt * (abs(lead) / lead)
-        if not any(abs(abs(np.vdot(pt, known)) - 1.0) < 1e-8 for known in points):
-            points.append(pt)
-    return [(p[0], p[1]) for p in points]

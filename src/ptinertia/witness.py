@@ -137,29 +137,3 @@ def is_witness(state: State, tol_zero: float = TOL_ZERO, restarts: int = 0,
             raise NotAWitness(f"product-vector minimum {product_min:.3e} below "
                               f"-{EW_TOL:.1e}; not a witness")
     return Witness(state.m, state.n, gamma, certified, product_min)
-
-
-def compress(w: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """Two-sided compression P W P by an orthogonal projector.
-
-    P must satisfy P^2 = P = P^dagger to within 1e-10 * max(1, max|P_ij|).
-    """
-    w = np.asarray(w, dtype=complex)
-    proj = np.asarray(proj, dtype=complex)
-    if proj.shape != w.shape:
-        raise ValueError("projector shape must match the matrix")
-    bound = 1e-10 * max(1.0, max_abs(proj))
-    if max_abs(proj @ proj - proj) > bound or max_abs(proj - proj.conj().T) > bound:
-        raise ValueError("P is not an orthogonal projector within tolerance")
-    return proj @ w @ proj
-
-
-def corner_projector(m: int, n: int, keep_a, keep_b) -> np.ndarray:
-    """Diagonal product projector selecting A-levels keep_a and B-levels keep_b."""
-    pa = np.zeros((m, m))
-    for i in keep_a:
-        pa[i, i] = 1.0
-    pb = np.zeros((n, n))
-    for j in keep_b:
-        pb[j, j] = 1.0
-    return np.kron(pa, pb)

@@ -36,3 +36,17 @@ def random_pure_slocc(rng, m, n, r):
     a = random_invertible(rng, m)
     b = random_invertible(rng, n)
     return np.kron(a, b) @ base
+
+
+def congruence(mat, s):
+    """S M S^dagger, symmetrised so that herm_eig's Hermitian check sees no roundoff skew."""
+    out = s @ mat @ s.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def local_ranks(state):
+    """Ranks of the reduced matrices on A and on B, at 1e-9 of max(1, max|entry|)."""
+    rho = state.mat.reshape(state.m, state.n, state.m, state.n)
+    reduced = (np.trace(rho, axis1=1, axis2=3), np.trace(rho, axis1=0, axis2=2))
+    return tuple(int(np.linalg.matrix_rank(red, tol=1e-9 * max(1.0, np.abs(red).max())))
+                 for red in reduced)

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ptinertia import (Inertia, build, build_exact, chain_seed, herm_eig,
-                       ket_vector, lemma3n_family, local_ranks,
-                       partial_transpose, pt_array, pt_inertia, schmidt, verify,
-                       verify_all)
+                       ket_vector, lemma3n_family, partial_transpose, pt_array,
+                       pt_inertia, schmidt, verify, verify_all)
 from ptinertia.catalog import (_REGISTRY, CatalogEntry, _merge_params, _weighted_kets,
                                entry_ids, ex11_closed_form, expected_inertia, get_entry)
 from ptinertia.cli import main
 from ptinertia.exact import GaussianRational, exact_inertia
+
+from conftest import local_ranks
 
 THIRTEEN = {
     (1, 0, 8), (1, 1, 7), (1, 2, 6), (1, 3, 5), (1, 4, 4), (1, 5, 3),

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from ptinertia import build, build_exact, matio, partial_transpose, pt_array
 from ptinertia.cli import main
+from ptinertia.search import load_records
 
 
 def run(capsys, *argv):
@@ -170,7 +172,9 @@ def search_logs(tmp_path, capsys):
                        "(3,0,6);(2,0,7)", "--log", str(log))
     assert code == 0 and "alarms 0" not in out
     data = json.loads(log.read_text())
-    data["alarms"][0]["inertia"] = [0, 0, 9]
+    # a tallied triple that is not the sample's: replay can only tell by drawing it
+    recorded = data["alarms"][0]["inertia"]
+    data["alarms"][0]["inertia"] = next(k for k, _ in data["counts"] if k != recorded)
     (tmp_path / "tampered.log").write_text(json.dumps(data) + "\n")
     data["counts"] = 5
     (tmp_path / "malformed.log").write_text(json.dumps(data) + "\n")
@@ -346,6 +350,77 @@ def test_replay_of_a_hand_edited_tally_exits_2(tmp_path, capsys, edit, message):
     code, out, err = run(capsys, "replay", "--log", str(log))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {log}, line 1: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("index", 1000000, "alarm index 1000000 out of range [0, 400)"),
+    ("rank", 2, "alarm rank 2 is not sample 1's rank 3"),
+    ("seed_path", [1, 2, 1], "alarm seed_path [1, 2, 1] is not sample 1's seed_path [1, 2, 0]"),
+    ("inertia", [9, 9, 9], "alarm inertia (9,9,9) is not a tallied triple of the record"),
+    ("inertia", [0, 0, 6], "alarm inertia (0,0,6) is not a tallied triple of the record"),
+])
+def test_replay_of_an_alarm_run_search_could_not_have_written_exits_2(
+        tmp_path, capsys, field, value, message):
+    log = tmp_path / "runs.log"
+    assert run(capsys, "search", "--dims", "2", "3", "--ranks", "2,3", "--ensemble", "complex",
+               "--samples", "400", "--seed", "1", "--alarm", "(1,0,5)", "--log", str(log))[0] == 0
+    data = json.loads(log.read_text())
+    alarm = data["alarms"][0]
+    assert (alarm["index"], alarm["rank"], alarm["seed_path"]) == (1, 3, [1, 2, 0])
+    assert [0, 0, 6] not in [k for k, _ in data["counts"]]
+    alarm[field] = value
+    if field == "index":
+        alarm["seed_path"] = [1, 2, value // 16]  # the seed_path of that index
+    log.write_text(json.dumps(data) + "\n")
+    code, out, err = run(capsys, "replay", "--log", str(log))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_search_with_an_impossible_alarm_leaves_no_log(tmp_path, capsys):
+    log = tmp_path / "new.log"
+    code, out, err = run(capsys, "search", "--dims", "3", "3", "--alarm", "(1,1,1)",
+                         "--log", str(log))
+    assert (code, out) == (2, "")
+    assert err == "error: alarm triple (1,1,1) must be >= 0 and sum to 9\n"
+    assert not log.exists()
+
+
+class _ClosedStdout:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_search_writes_its_record_before_a_closed_stdout_stops_it(tmp_path, capsys, monkeypatch):
+    log = tmp_path / "runs.log"
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = main(["search", "--dims", "2", "3", "--ranks", "2,3", "--ensemble", "complex",
+                 "--samples", "400", "--seed", "1", "--alarm", "(1,0,5)", "--log", str(log)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    (record,) = load_records(log)
+    assert sum(record.counts.values()) + record.marginal == 400 and record.alarms
+
+
+# sha256 of stdout at the commit that pinned them; 3xN tables are left out
+REPORT_SHA256 = {
+    ("table", "--dims", "2", "3"): "cde13d2e7b85ad3e750f43a7d7c2b4b5dcc6d8e126ec0415c6c150a1965d89d4",
+    ("table", "--dims", "2", "8"): "d38da14cec481737b0b47ae4b55d27a2616a2f802a4786653bc7220a77d52be7",
+    ("table", "--dims", "3", "3"): "82062fe45d98c75580b726e93d8c9505f31864b1308c9bdb3df816586613ece1",
+    ("catalog", "verify", "--all"): "4bdb8471d46123aa73283e3b9e380dcb201ebc8c325b6a012eb15bd39fea7421",
+    ("catalog", "list"): "536b9b99f3e025ba274c41d9c31ac7701d751be9431917bf5b94e2550146ec2e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_SHA256), ids=" ".join)
+def test_report_bytes_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.delenv("PTINERTIA_TOL_ZERO", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[argv]
 
 
 @pytest.mark.parametrize("alarm, triple", [

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ptinertia import build, congruence, herm_eig, partial_transpose
+from ptinertia import build, herm_eig, partial_transpose
 from ptinertia.linalg import Inertia, spectrum_inertia
 
-from conftest import random_hermitian, random_invertible
+from conftest import congruence, random_hermitian, random_invertible
 
 
 def test_herm_eig_identity():
@@ -47,22 +47,6 @@ def test_eigenvalue_sum_matches_trace(rng):
         vals = herm_eig(m).values
         tr = float(np.real(np.trace(m)))
         assert abs(vals.sum() - tr) <= 1e-10 * max(1.0, abs(tr))
-
-
-def test_congruence_identity(rng):
-    m = random_hermitian(rng, 4)
-    assert np.allclose(congruence(m, np.eye(4)), m)
-
-
-def test_congruence_diagonal_scaling():
-    out = congruence(np.diag([1.0, -1.0]), np.diag([2.0, 3.0]))
-    assert np.allclose(out, np.diag([4.0, -9.0]))
-
-
-def test_congruence_rejects_singular(rng):
-    m = random_hermitian(rng, 3)
-    with pytest.raises(ValueError, match="singular"):
-        congruence(m, np.diag([1.0, 1.0, 0.0]))
 
 
 @pytest.mark.parametrize("dim", [4, 6, 9])

@@ -189,11 +189,11 @@ def test_scan_split_mid_block_merges_to_the_whole_range(ensemble):
 def test_replay_matches_drawing_each_block_in_sequence(ensemble):
     cfg = SearchConfig(m=3, n=3, ranks=(2, 3, 4, 5), ensemble=ensemble,
                        samples=3 * BLOCK, seed=11)
-    # a record alarming on every index of three blocks
+    # a record alarming on every index of three blocks, under one tallied triple
     alarms = [Alarm(Inertia(0, 0, 9), i, cfg.rank_for(i), (cfg.seed, 2, i // BLOCK))
               for i in range(cfg.samples)]
-    rec = SearchRecord(config=cfg, config_hash=cfg.digest(), counts={},
-                       marginal=cfg.samples, alarms=alarms)
+    rec = SearchRecord(config=cfg, config_hash=cfg.digest(),
+                       counts={Inertia(0, 0, 9): cfg.samples}, marginal=0, alarms=alarms)
     for block in range(3):
         rng = np.random.default_rng((cfg.seed, 2, block))
         for i in range(block * BLOCK, (block + 1) * BLOCK):

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ptinertia import (State, apply_slocc, build, congruence, dm_from_kets,
-                       inertia_of, ket_vector, local_ranks, partial_transpose,
-                       pencil_rank1, pt_array, random_state, schmidt,
+from ptinertia import (State, build, dm_from_kets, inertia_of, ket_vector,
+                       partial_transpose, pt_array, random_state, schmidt,
                        validate_state)
-from ptinertia.states import trace_out_a, trace_out_b
 
-from conftest import random_hermitian, random_invertible, random_pure_slocc
+from conftest import (congruence, local_ranks, random_hermitian, random_invertible,
+                      random_pure_slocc)
 
 
 def bell(m, n, r=2):
@@ -130,22 +129,6 @@ def test_dm_rejects_bad_input():
 
 # ---------------------------------------------------------------- local ranks
 
-def test_local_ranks_product_state():
-    psi = ket_vector(3, 3, [(1, 0, 0)])
-    assert local_ranks(dm_from_kets([psi], [1], 3, 3)) == (1, 1)
-
-
-def test_local_ranks_rank2_pure_marginals():
-    state = build("arr13_vi")
-    assert local_ranks(state) == (2, 2)
-    assert np.allclose(trace_out_b(state), np.diag([1, 1, 0]))
-    assert np.allclose(trace_out_a(state), np.diag([1, 1, 0]))
-
-
-def test_local_ranks_full():
-    assert local_ranks(build("ex11")) == (3, 3)
-
-
 def test_pure_state_local_ranks_equal_schmidt_rank(rng):
     for _ in range(20):
         r = int(rng.integers(1, 4))
@@ -157,20 +140,13 @@ def test_pure_state_local_ranks_equal_schmidt_rank(rng):
 
 # ---------------------------------------------------------------- SLOCC
 
-def test_apply_slocc_identity():
-    state = build("arr13_vi")
-    out = apply_slocc(state, np.eye(3), np.eye(3))
-    assert np.allclose(out.mat, state.mat)
-
-
 def test_pt_congruence_identity(rng):
     # PT((AxB) rho (AxB)^+) == conj(A)xB applied as congruence to PT(rho)
     for _ in range(10):
         rho = random_hermitian(rng, 6)
-        state = State(2, 3, rho)
         a = random_invertible(rng, 2)
         b = random_invertible(rng, 3)
-        lhs = partial_transpose(apply_slocc(state, a, b))
+        lhs = partial_transpose(State(2, 3, congruence(rho, np.kron(a, b))))
         rhs = congruence(pt_array(rho, 2, 3), np.kron(a.conj(), b))
         assert np.abs(lhs - rhs).max() <= 1e-9 * max(1.0, np.abs(lhs).max())
 
@@ -181,14 +157,9 @@ def test_slocc_preserves_pt_inertia(rng):
         a = random_invertible(rng, 3)
         b = random_invertible(rng, 3)
         before = inertia_of(partial_transpose(state))
-        after = inertia_of(partial_transpose(apply_slocc(state, a, b)))
+        after = inertia_of(partial_transpose(
+            State(3, 3, congruence(state.mat, np.kron(a, b)))))
         assert before == after
-
-
-def test_apply_slocc_rejects_singular():
-    state = build("arr13_vi")
-    with pytest.raises(ValueError):
-        apply_slocc(state, np.diag([1.0, 1.0, 0.0]), np.eye(3))
 
 
 # ---------------------------------------------------------------- random states
@@ -265,39 +236,3 @@ def test_random_state_rank_bounds():
         random_state(2, 2, 5, "real", seed=0)
     with pytest.raises(ValueError):
         random_state(2, 2, 0, "real", seed=0)
-
-
-# ---------------------------------------------------------------- rank-one pencils
-
-def matz(terms, m, n):
-    return ket_vector(m, n, terms).reshape(m, n)
-
-
-def test_pencil_shared_row_space_is_infinite():
-    u = matz([(1, 0, 0)], 3, 3)
-    v = matz([(1, 0, 1)], 3, 3)
-    assert pencil_rank1(u, v) == "infinite"
-
-
-def test_pencil_double_root_single_point():
-    u = matz([(1, 0, 0), (1, 1, 1)], 3, 3)
-    v = matz([(1, 0, 1)], 3, 3)
-    points = pencil_rank1(u, v)
-    assert len(points) == 1
-    x, y = points[0]
-    assert abs(x) < 1e-8 and abs(abs(y) - 1) < 1e-8  # the point (0:1)
-
-
-def test_pencil_two_points():
-    u = matz([(1, 0, 0)], 3, 3)
-    v = matz([(1, 1, 1)], 3, 3)
-    points = pencil_rank1(u, v)
-    assert len(points) == 2
-    leads = sorted(abs(x) for x, _ in points)
-    assert leads[0] < 1e-8 and abs(leads[1] - 1) < 1e-8  # (0:1) and (1:0)
-
-
-def test_pencil_rejects_dependent_inputs():
-    u = matz([(1, 0, 0)], 2, 2)
-    with pytest.raises(ValueError):
-        pencil_rank1(u, 2.0 * u)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ptinertia import (State, build, build_exact, compress, dm_from_kets, is_witness,
+from ptinertia import (State, build, build_exact, dm_from_kets, is_witness,
                        ket_vector, min_product_expectation, partial_transpose,
                        pt_inertia, random_state)
 from ptinertia.catalog import entry_ids
 from ptinertia.matio import loads_matrix
-from ptinertia.witness import NotAWitness, corner_projector
+from ptinertia.witness import NotAWitness
 
 
 def test_min_product_on_identity_is_one():
@@ -76,40 +76,6 @@ def test_separable_mixtures_have_nonnegative_product_minimum(rng):
         gamma = partial_transpose(state)
         value, _ = min_product_expectation(gamma, 3, 3, restarts=8, seed=11)
         assert value >= -1e-8
-
-
-def test_compress_identity_and_zero():
-    gamma = partial_transpose(build("arr13_vi"))
-    assert np.allclose(compress(gamma, np.eye(9)), gamma)
-    assert np.allclose(compress(gamma, np.zeros((9, 9))), 0.0)
-
-
-def test_compress_rejects_non_projector():
-    gamma = partial_transpose(build("arr13_vi"))
-    with pytest.raises(ValueError, match="projector"):
-        compress(gamma, 0.5 * np.eye(9))
-
-
-def test_compress_hermitian_and_rank_bound(rng):
-    gamma = partial_transpose(build("arr13_xiii"))
-    proj = corner_projector(3, 3, keep_a=[0, 1], keep_b=[2])
-    out = compress(gamma, proj)
-    assert np.abs(out - out.conj().T).max() < 1e-12
-    rank_p = int(round(np.real(np.trace(proj))))
-    assert np.linalg.matrix_rank(out, tol=1e-10) <= rank_p
-
-
-def test_corner_compression_trace_nonnegative_on_witnesses():
-    # the compression by (I_2 + 0) x (I - I_2 + 0) has trace equal to a sum of
-    # product-vector expectations, hence >= 0 for every witness
-    proj = corner_projector(3, 3, keep_a=[0, 1], keep_b=[2])
-    for entry_id in entry_ids():
-        state = build(entry_id)
-        if (state.m, state.n) != (3, 3):
-            continue
-        gamma = partial_transpose(state.normalized())
-        out = compress(gamma, proj)
-        assert np.real(np.trace(out)) >= -1e-10
 
 
 # F + |Phi+><Phi+| on 2x2 (F the swap): its PT is NPT and it has eigenvalue -1,
