@@ -11,6 +11,7 @@ Example:
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -54,13 +55,27 @@ def main() -> int:
         # one line and exit 2, as the CLI does; exit 1 means alarm(s) found
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        hits = _hunt(configs, args.log)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # a closed stdout (`| head`): the records already appended stay, and
+        # stdout goes to devnull so the flush at shutdown has nothing to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 1 if hits else 0
+
+
+def _hunt(configs, log) -> int:
+    """Run and print each config, appending its record to `log` first; the alarm count."""
     alarm_set = OPEN_TRIPLES + EXCLUDED_TRIPLES
     hits = 0
     for cfg in configs:
         record = run_search(cfg, alarm_set)
-        if args.log:
+        if log:
             # the record goes in before any output, which a closed stdout could cut short
-            append_record(args.log, record)
+            append_record(log, record)
         print(f"ensemble={cfg.ensemble} samples={cfg.samples} "
               f"marginal={record.marginal} alarms={len(record.alarms)}")
         for triple, count in sorted(record.counts.items()):
@@ -70,9 +85,9 @@ def main() -> int:
             hits += 1
     if hits:
         print(f"{hits} alarm(s): replay them via the CLI before celebrating")
-        return 1
-    print("no alarms: neither open triple appeared (nor any excluded one)")
-    return 0
+    else:
+        print("no alarms: neither open triple appeared (nor any excluded one)")
+    return hits
 
 
 if __name__ == "__main__":

@@ -205,11 +205,12 @@ def cmd_replay(args) -> int:
     except IndexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.dump:
+        # the dump goes out before the verdict, so an unwritable path prints no verdict
+        matio.save_matrix(args.dump, state.mat, state.m, state.n)
     got = pt_inertia(state, record.config.tol_zero)
     want = record.alarms[args.alarm].inertia
     print(f"replayed {_fmt(got)} recorded {_fmt(want)}")
-    if args.dump:
-        matio.save_matrix(args.dump, state.mat, state.m, state.n)
     return 0 if got == want else 1
 
 

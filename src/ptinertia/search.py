@@ -226,8 +226,8 @@ def _block_generator(cfg: SearchConfig, seed_path, index: int) -> np.random.Gene
 def _scan_range(cfg: SearchConfig, start: int, stop: int,
                 alarm_set: frozenset[Inertia]):
     """Tally one contiguous index range; batched eigensolves per chunk."""
-    m, n, ensemble, seed, rank_for = cfg.m, cfg.n, cfg.ensemble, cfg.seed, cfg.rank_for
-    d = m * n
+    m, n, ensemble, seed, ranks = cfg.m, cfg.n, cfg.ensemble, cfg.seed, cfg.ranks
+    d, n_ranks = m * n, len(ranks)
     complex_mode = ensemble == "complex"
     counts: dict[Inertia, int] = {}
     marginal = 0
@@ -239,9 +239,9 @@ def _scan_range(cfg: SearchConfig, start: int, stop: int,
         for idx in range(lo, hi):
             if idx % BLOCK == 0 or idx == start:
                 rng = _block_generator(cfg, _seed_path(seed, idx), idx)
-            state = random_state(m, n, rank_for(idx), ensemble, seed=rng)
-            gamma = pt_array(state.mat, m, n)
-            gammas[idx - lo] = gamma if complex_mode else gamma.real
+            mat = random_state(m, n, ranks[idx % n_ranks], ensemble, seed=rng).mat
+            # the real ensembles' PT goes into a float stack: take it of the real part
+            gammas[idx - lo] = pt_array(mat if complex_mode else mat.real, m, n)
         vals = np.linalg.eigvalsh(gammas)
         (neg, _, pos), is_marginal = spectrum_inertia(vals, cfg.tol_zero)
         marginal += int(is_marginal.sum())
@@ -260,7 +260,7 @@ def _scan_range(cfg: SearchConfig, start: int, stop: int,
             for off in np.flatnonzero(hits).tolist():
                 idx = lo + off
                 alarms.append(Alarm(alarm_triples[int(codes[off])], idx,
-                                    rank_for(idx), _seed_path(seed, idx)))
+                                    ranks[idx % n_ranks], _seed_path(seed, idx)))
         lo = hi
     return counts, marginal, alarms
 
@@ -355,13 +355,16 @@ def append_record(path, record: SearchRecord) -> None:
 
 
 def load_records(path) -> list[SearchRecord]:
+    """Every record of a results log; a malformed line, a byte that is not
+    UTF-8 included, raises ValueError naming the path and the line."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
+    with open(path, "rb") as fh:
+        # bytes.splitlines breaks at \n, \r and \r\n, as text mode reads lines
+        for lineno, raw in enumerate(fh.read().splitlines(), 1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
                     out.append(SearchRecord.from_json_line(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}, line {lineno}: {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from exc
     return out

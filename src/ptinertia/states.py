@@ -19,6 +19,7 @@ ENSEMBLES = ("real", "complex", "structured")
 # multiplying by this is how numpy divides a complex by np.sqrt(2), bit for bit;
 # np.sqrt(0.5) differs from it in the last bit
 _INV_SQRT2 = 1 / np.sqrt(2)
+_COMPLEX = np.dtype(complex)
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,15 @@ class State:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError(f"local dimensions must be >= 1, got ({self.m},{self.n})")
-        mat = np.asarray(self.mat, dtype=complex)
-        if mat.shape != (self.dim, self.dim):
+        mat, d = self.mat, self.m * self.n
+        # a complex ndarray is kept as it is: no second pass over a random_state matrix
+        if type(mat) is not np.ndarray or mat.dtype is not _COMPLEX:
+            mat = np.asarray(mat, dtype=complex)
+            object.__setattr__(self, "mat", mat)
+        if mat.shape != (d, d):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match dims ({self.m},{self.n})"
             )
-        object.__setattr__(self, "mat", mat)
 
     @property
     def dim(self) -> int:
@@ -150,14 +154,19 @@ def random_state(m: int, n: int, rank: int,
     if not 1 <= rank <= d:
         raise ValueError(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)
-    if ensemble == "real":
-        r = rng.standard_normal((d, rank))
-    elif ensemble == "complex":
+    if ensemble == "complex":
         z = rng.standard_normal((2, d, rank))
         z *= _INV_SQRT2
         r = np.empty((d, rank), dtype=complex)
         r.real = z[0]
         r.imag = z[1]
+        mat = r @ r.conj().T
+        # add.reduce of the diagonal is the complex sum ndarray.trace takes; numpy
+        # divides a complex by a real as a multiply by its reciprocal
+        mat *= 1.0 / np.add.reduce(mat.diagonal()).real
+        return State(m, n, mat)
+    if ensemble == "real":
+        r = rng.standard_normal((d, rank))
     elif ensemble == "structured":
         if m < 2:
             raise ValueError("structured ensemble needs m >= 2")
@@ -165,5 +174,7 @@ def random_state(m: int, n: int, rank: int,
         r[:n, :] = 0.0
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}")
-    mat = r @ r.conj().T
-    return State(m, n, mat / mat.trace().real)
+    mat = r @ r.T  # r.conj() of a real array is r itself
+    # a real one is divided in place, since its reciprocal's multiply differs, then cast once
+    mat /= np.add.reduce(mat.diagonal())
+    return State(m, n, mat.astype(complex))

@@ -446,6 +446,16 @@ def test_replay_dump_writes_the_replayed_state(tmp_path, capsys):
     assert run(capsys, "inertia", "--file", str(pt))[:2] == (0, "3 0 6\n")
 
 
+def test_replay_dump_to_an_unwritable_path_exits_2_before_the_verdict(tmp_path, capsys):
+    log = tmp_path / "runs.log"
+    assert run(capsys, "search", "--dims", "3", "3", "--ranks", "3", "--samples", "200",
+               "--seed", "17", "--alarm", "(3,0,6)", "--log", str(log))[0] == 0
+    code, out, err = run(capsys, "replay", "--log", str(log),
+                         "--dump", str(tmp_path / "missing" / "x.txt"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+
+
 def test_catalog_dump_without_out_writes_the_file_bytes_to_stdout(tmp_path, capsys):
     path = tmp_path / "arr13_ix.txt"
     assert run(capsys, "catalog", "dump", "arr13_ix", "--out", str(path))[0] == 0

@@ -53,3 +53,19 @@ def test_hunt_script_with_an_unwritable_log_exits_2_before_any_run(tmp_path, log
     proc = run_script("hunt_open_inertias.py", "--samples", "64", "--log", str(tmp_path / log))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: [Errno ") and proc.stderr.count("\n") == 1
+
+
+def test_hunt_script_on_a_closed_stdout_exits_2_and_keeps_its_records(tmp_path):
+    # unbuffered, so the first print after the reader is gone meets the closed pipe;
+    # a run takes long enough that the pipe is closed before the next run prints
+    log = tmp_path / "hunt.log"
+    proc = subprocess.Popen([sys.executable, "-u", str(SCRIPTS / "hunt_open_inertias.py"),
+                             "--samples", "20000", "--seed", "7", "--log", str(log)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("ensemble=real ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (2, "error: [Errno 32] Broken pipe\n")
+    records = load_records(log)
+    assert 1 <= len(records) < 3
+    assert [r.config.ensemble for r in records] == ["real", "complex"][:len(records)]

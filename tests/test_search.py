@@ -303,6 +303,23 @@ def test_malformed_log_line_names_its_line(tmp_path, edit, message):
     assert "line 2" in str(info.value)
 
 
+def test_a_log_byte_that_is_not_utf8_names_its_path_and_line(tmp_path):
+    log = tmp_path / "runs.log"
+    log.write_bytes(_good_line().encode() + b"\n\xff" + _good_line().encode() + b"\n")
+    with pytest.raises(ValueError) as info:
+        load_records(log)
+    assert str(info.value).startswith(f"{log}, line 2: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_log_lines_end_at_any_newline_as_text_mode_reads_them(tmp_path):
+    log = tmp_path / "runs.log"
+    log.write_bytes((_good_line() + "\r\n\r" + _good_line() + "\r").encode())
+    assert len(load_records(log)) == 2
+    log.write_bytes(b"\n\n" + b"{" + b"\r\n")
+    with pytest.raises(ValueError, match="line 3"):
+        load_records(log)
+
+
 def test_log_line_missing_a_key_is_rejected():
     data = json.loads(_good_line())
     del data["marginal"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -236,3 +238,42 @@ def test_random_state_rank_bounds():
         random_state(2, 2, 5, "real", seed=0)
     with pytest.raises(ValueError):
         random_state(2, 2, 0, "real", seed=0)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3), (3, 4)])
+@pytest.mark.parametrize("ensemble", ["real", "complex", "structured"])
+def test_random_state_keeps_the_state_contract(m, n, ensemble):
+    d = m * n
+    for rank in (1, 2, d):
+        st = random_state(m, n, rank, ensemble, seed=(5, rank))
+        again = State(m, n, st.mat.copy())
+        assert (again.m, again.n) == (st.m, st.n) == (m, n)
+        assert again.mat.dtype == st.mat.dtype and again.mat.tobytes() == st.mat.tobytes()
+        assert st.mat.dtype == complex and st.mat.shape == (d, d)
+        assert st.mat.flags.c_contiguous
+        for field, value in (("m", 1), ("n", 1), ("mat", np.eye(d))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(st, field, value)
+
+
+@pytest.mark.parametrize("m, n, rank", [(-3, -3, 2), (0, 3, 1), (3, 0, 1)])
+def test_random_state_rejects_bad_dims(m, n, rank):
+    # (-3, -3) has m*n = 9, which passes the rank check: State must still refuse it
+    for ensemble in ("real", "complex", "structured"):
+        with pytest.raises(ValueError):
+            random_state(m, n, rank, ensemble, seed=0)
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+def test_state_makes_a_list_or_float_matrix_complex():
+    want = np.array([[0.5, 0.25], [0.25, 0.5]])
+    for mat in (want.tolist(), want, want.astype(np.float32),
+                want.astype(complex).view(_Subclass)):
+        st = State(1, 2, mat)
+        assert type(st.mat) is np.ndarray and st.mat.dtype == complex
+        assert np.array_equal(st.mat, want)
+    with pytest.raises(ValueError, match="does not match dims"):
+        State(2, 2, np.eye(3, dtype=complex))
