@@ -17,11 +17,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ptinertia import Inertia, SearchConfig, run_search
+from ptinertia import SearchConfig, run_search, tables
 from ptinertia.search import append_record
-
-OPEN_TRIPLES = [Inertia(3, 2, 4), Inertia(4, 1, 4)]
-EXCLUDED_TRIPLES = [Inertia(2, 4, 3), Inertia(3, 3, 3), Inertia(4, 2, 3)]
 
 
 def _configs(args) -> list[SearchConfig]:
@@ -69,7 +66,7 @@ def main() -> int:
 
 def _hunt(configs, log) -> int:
     """Run and print each config, appending its record to `log` first; the alarm count."""
-    alarm_set = OPEN_TRIPLES + EXCLUDED_TRIPLES
+    alarm_set = tables.OPEN_33 | set(tables.FORBIDDEN_33)
     hits = 0
     for cfg in configs:
         record = run_search(cfg, alarm_set)

@@ -50,17 +50,27 @@ def hermiticity_defect(mat: np.ndarray) -> float:
     return max_abs(mat - mat.conj().T)
 
 
-def require_hermitian(mat: np.ndarray) -> None:
-    """Reject a non-square M, or one with asymmetry above TOL_HERM * max(1, max|M_ij|)."""
+def require_hermitian(mat: np.ndarray) -> float:
+    """max|M_ij| of a square Hermitian M.
+
+    A non-square M, one with a NaN or infinite entry, or one with asymmetry
+    above TOL_HERM * max(1, max|M_ij|) raises ValueError.
+    """
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    scale = max_abs(mat)
+    if not math.isfinite(scale):
+        # a NaN would pass every `defect > bound` test below
+        i, j = np.argwhere(~np.isfinite(mat))[0].tolist()
+        raise ValueError(f"matrix entry ({i},{j}) is not finite: {mat[i, j]}")
     defect = hermiticity_defect(mat)
-    bound = TOL_HERM * max(1.0, max_abs(mat))
+    bound = TOL_HERM * max(1.0, scale)
     if defect > bound:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {bound:.3e}"
         )
+    return scale
 
 
 def herm_eig(mat: np.ndarray) -> EigenDecomposition:
@@ -70,13 +80,12 @@ def herm_eig(mat: np.ndarray) -> EigenDecomposition:
     RuntimeError if the solver fails to converge or the reconstruction
     residual is out of bounds.
     """
-    require_hermitian(mat)
+    scale = max(1.0, require_hermitian(mat))
     mat = np.asarray(mat, dtype=complex)
     try:
         values, vectors = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    scale = max(1.0, max_abs(mat))
     resid = max_abs(mat - (vectors * values) @ vectors.conj().T)
     ortho = max_abs(vectors.conj().T @ vectors - np.eye(mat.shape[0]))
     if resid > TOL_RESID * scale or ortho > TOL_RESID:

@@ -232,10 +232,11 @@ def _scan_range(cfg: SearchConfig, start: int, stop: int,
     counts: dict[Inertia, int] = {}
     marginal = 0
     alarms: list[Alarm] = []
-    lo = start
-    while lo < stop:
+    # one eigensolve stack for every chunk of the range; a short chunk uses its head
+    stack = np.empty((min(CHUNK, stop - start), d, d), dtype=complex if complex_mode else float)
+    for lo in range(start, stop, CHUNK):
         hi = min(lo + CHUNK, stop)
-        gammas = np.empty((hi - lo, d, d), dtype=complex if complex_mode else float)
+        gammas = stack[:hi - lo]
         for idx in range(lo, hi):
             if idx % BLOCK == 0 or idx == start:
                 rng = _block_generator(cfg, _seed_path(seed, idx), idx)
@@ -261,7 +262,6 @@ def _scan_range(cfg: SearchConfig, start: int, stop: int,
                 idx = lo + off
                 alarms.append(Alarm(alarm_triples[int(codes[off])], idx,
                                     ranks[idx % n_ranks], _seed_path(seed, idx)))
-        lo = hi
     return counts, marginal, alarms
 
 

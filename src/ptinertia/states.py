@@ -12,7 +12,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .linalg import max_abs, require_hermitian
+from .linalg import require_hermitian
 
 SCHMIDT_TOL = 1e-10
 ENSEMBLES = ("real", "complex", "structured")
@@ -59,12 +59,12 @@ class State:
 
 def validate_state(state: State) -> None:
     """Check Hermiticity, positive trace, and lambda_min >= -1e-10 * max(1, max|rho_ij|)."""
-    require_hermitian(state.mat)
+    scale = require_hermitian(state.mat)
     tr = float(np.real(np.trace(state.mat)))
     if tr <= 0:
         raise ValueError(f"state trace {tr} is not positive")
     lo = float(np.linalg.eigvalsh(state.mat)[0])
-    if lo < -1e-10 * max(1.0, max_abs(state.mat)):
+    if lo < -1e-10 * max(1.0, scale):
         raise ValueError(f"state has negative eigenvalue {lo:.3e}")
 
 

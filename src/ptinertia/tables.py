@@ -4,7 +4,9 @@ The candidate universe for an (m, n) report is every triple summing to m*n
 with 1 <= v_minus <= (m-1)(n-1) and v_plus >= 3 (the generic witness bounds);
 triples outside the universe are excluded a priori and not listed.  Within
 the universe each triple is classified realized (with a live witness),
-forbidden (with the exclusion reason), or open.
+forbidden (with the exclusion reason), or open.  The three sets partition
+the universe: InertiaSetReport refuses a triple listed twice, one left
+out, or one outside the universe.
 
 The 3x3 report takes its witnesses from the catalog's arr13_* entries.
 Every other report, 2xN and 3xN alike, takes them from one builder,
@@ -14,6 +16,7 @@ states lifted.  table1_report verifies every edge it lists on its state.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import catalog
@@ -41,10 +44,16 @@ class InertiaSetReport:
     open: set[Inertia]
 
     def __post_init__(self):
-        sets = [set(self.realized), set(self.forbidden), self.open]
-        total = sum(len(s) for s in sets)
-        if len(set().union(*sets)) != total:
-            raise ValueError("realized/forbidden/open must be pairwise disjoint")
+        listed = Counter([*self.realized, *self.forbidden, *self.open])
+        universe = set(_universe(*self.dims))
+        faults = {"listed twice": [t for t, k in listed.items() if k > 1],
+                  "unclassified": universe - listed.keys(),
+                  "outside the candidate universe": listed.keys() - universe}
+        found = "; ".join(f"{what} {', '.join(map(str, sorted(triples)))}"
+                          for what, triples in faults.items() if triples)
+        if found:
+            raise ValueError(f"realized/forbidden/open must partition the "
+                             f"candidate universe: {found}")
 
 
 def _universe(m: int, n: int) -> list[Inertia]:
@@ -76,8 +85,6 @@ def inertia_table(m: int, n: int, tol_zero: float = TOL_ZERO) -> InertiaSetRepor
     if m not in (2, 3) or n < 2:
         raise ValueError(f"unsupported dims ({m},{n}); need m in {{2,3}} and n >= 2")
 
-    universe = _universe(m, n)
-
     if (m, n) == (3, 3):
         realized: dict[Inertia, str] = {}
         for entry_id in catalog.entry_ids():
@@ -87,34 +94,17 @@ def inertia_table(m: int, n: int, tol_zero: float = TOL_ZERO) -> InertiaSetRepor
             if not result.passed:
                 raise RuntimeError(f"catalog witness {entry_id} failed re-verification")
             realized.setdefault(result.expected, entry_id)
-        forbidden = dict(FORBIDDEN_33)
-        open_set = set(OPEN_33)
-        report = InertiaSetReport((3, 3), realized, forbidden, open_set)
-    else:
-        desc = ("chain_seed(n={n}, k={t.neg}) with {lifted} kernel states lifted"
-                if m == 2 else "3xN chain family witness for {t}")
-        realized = {t: desc.format(n=n, t=t, lifted=t.pos - t.neg - 2)
-                    for t, _state in catalog.lemma3n_family(n, tol_zero=tol_zero, m=m)}
-        forbidden = {}
-        open_set = set()
-        for triple in universe:
-            if triple in realized:
-                continue
-            if m == 2 and n <= 3:
-                forbidden[triple] = "complete classification of 2xN inertias for N <= 3"
-            else:
-                open_set.add(triple)
-        report = InertiaSetReport((m, n), realized, forbidden, open_set)
+        return InertiaSetReport((3, 3), realized, dict(FORBIDDEN_33), set(OPEN_33))
 
-    missing = [t for t in report.realized if t not in universe]
-    if missing:
-        raise RuntimeError(f"realized triples outside the candidate universe: {missing}")
-    uncovered = [t for t in universe
-                 if t not in report.realized and t not in report.forbidden
-                 and t not in report.open]
-    if uncovered:
-        raise RuntimeError(f"unclassified triples: {uncovered}")
-    return report
+    desc = ("chain_seed(n={n}, k={t.neg}) with {lifted} kernel states lifted"
+            if m == 2 else "3xN chain family witness for {t}")
+    realized = {t: desc.format(n=n, t=t, lifted=t.pos - t.neg - 2)
+                for t, _state in catalog.lemma3n_family(n, tol_zero=tol_zero, m=m)}
+    rest = [t for t in _universe(m, n) if t not in realized]
+    if m == 2 and n <= 3:
+        reason = "complete classification of 2xN inertias for N <= 3"
+        return InertiaSetReport((m, n), realized, dict.fromkeys(rest, reason), set())
+    return InertiaSetReport((m, n), realized, {}, set(rest))
 
 
 @dataclass(frozen=True)

@@ -68,10 +68,10 @@ def min_product_expectation(w: np.ndarray, m: int, n: int,
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     w = np.asarray(w, dtype=complex)
-    require_hermitian(w)
+    scale = require_hermitian(w)
     if w.shape != (m * n, m * n):
         raise ValueError(f"matrix shape {w.shape} does not match dims ({m},{n})")
-    tol = 1e-12 * max(1.0, max_abs(w))
+    tol = 1e-12 * max(1.0, scale)
     w4 = w.reshape(m, n, m, n)
     best_val = np.inf
     best_pair = None

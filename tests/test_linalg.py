@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptinertia import build, herm_eig, partial_transpose
+from ptinertia import build, catalog, herm_eig, inertia_of, partial_transpose
 from ptinertia.linalg import Inertia, spectrum_inertia
 
 from conftest import congruence, random_hermitian, random_invertible
@@ -28,6 +28,17 @@ def test_herm_eig_rejects_asymmetry():
     bad = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="asymmetry"):
         herm_eig(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_is_refused_with_its_position(value):
+    mat = np.eye(4, dtype=complex)
+    mat[2, 1] = value
+    for solve in (herm_eig, inertia_of):
+        with pytest.raises(ValueError, match=r"entry \(2,1\) is not finite"):
+            solve(mat)
+    with pytest.raises(ValueError, match="not finite"):
+        catalog.verify("npt2_iia", a=float(value), b=1)
 
 
 def test_herm_eig_invariants(rng):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from ptinertia import (Inertia, SearchConfig, pt_inertia, random_state, replay,
                        run_search)
 from ptinertia import search
-from ptinertia.search import (BLOCK, Alarm, SearchRecord, _scan_range,
+from ptinertia.search import (BLOCK, CHUNK, Alarm, SearchRecord, _scan_range,
                               append_record, load_records)
 
 THIRTEEN = {
@@ -360,3 +361,15 @@ def test_run_search_rejects_an_impossible_alarm_triple(alarm):
     cfg = SearchConfig(m=2, n=2, ranks=(2,), samples=200, seed=3)
     with pytest.raises(ValueError, match="must be >= 0 and sum to 4"):
         run_search(cfg, [Inertia(1, 0, 3), alarm])
+
+
+def test_scan_range_fills_one_eigensolve_stack_for_all_its_chunks():
+    cfg = SearchConfig(m=3, n=4, ranks=(4,), ensemble="complex", samples=3 * CHUNK)
+    stack_bytes = CHUNK * 12 * 12 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        _scan_range(cfg, 0, 3 * CHUNK, frozenset())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * stack_bytes

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from ptinertia import Inertia, inertia_table, table1_report
+from ptinertia.tables import InertiaSetReport
 
 THIRTEEN = {
     (1, 0, 8), (1, 1, 7), (1, 2, 6), (1, 3, 5), (1, 4, 4), (1, 5, 3),
@@ -66,3 +69,15 @@ def test_table1_groups():
     assert g204 == [(2, 3, 4), (2, 2, 5), (2, 1, 6), (2, 0, 7), (3, 1, 5), (4, 0, 5)]
     union = {t for edges in groups.values() for t in (tuple(e.target) for e in edges)}
     assert union == THIRTEEN
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda r: r.open.discard(Inertia(3, 2, 4)), "unclassified (3,2,4)"),
+    (lambda r: r.open.add(Inertia(2, 4, 3)), "listed twice (2,4,3)"),
+    (lambda r: r.open.add(Inertia(5, 0, 4)), "outside the candidate universe (5,0,4)"),
+])
+def test_report_sets_must_partition_the_universe(edit, fault):
+    report = inertia_table(3, 3)
+    edit(report)
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        InertiaSetReport(report.dims, report.realized, report.forbidden, report.open)
