@@ -2,11 +2,12 @@
 
 Every entry is a weighted ket mixture, so each family can be rebuilt both in
 floating point and (for rational data) in exact Gaussian-rational arithmetic.
-Both builds share one ket loop; the exact one is an ExactMatrix, whose PT is
-the same states.pt_array the float route takes, and adds each weighted
-projector only on its ket's support: as Gaussian-integer numerators over one
-common denominator (rescaled when a term's denominator does not divide it),
-with one GaussianRational made per nonzero cell at the end.
+The float build makes each ket with states.ket_vector.  The exact one is an
+ExactMatrix, whose PT is the same states.pt_array the float route takes: it
+reads each ket's terms into a map of its support and adds each weighted
+projector there, as Gaussian-integer numerators over one common denominator
+fixed before the sum, with one GaussianRational made per nonzero cell at the
+end.  Parameters must be numbers with a finite complex value.
 verify() recomputes the inertia through both routes and compares against the
 entry's expected rule; a handful of families whose conventional printed forms
 do not reproduce their advertised inertia are realized through verified
@@ -15,9 +16,11 @@ substitute constructions, documented in their notes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Number
 from typing import Callable
 
 import numpy as np
@@ -414,31 +417,26 @@ def _merge_params(entry: CatalogEntry, overrides: dict) -> dict:
         raise ValueError(f"unknown parameters {sorted(unknown)} for entry {entry.id!r}")
     params = dict(entry.defaults)
     params.update(overrides)
+    for name, value in params.items():
+        if not isinstance(value, (Number, GaussianRational)):
+            raise ValueError(f"parameter {name!r} is not a number: {value!r}")
+        try:
+            finite = cmath.isfinite(complex(value))
+        except OverflowError:  # an int or Fraction past the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"parameter {name!r} is not finite: {value!r}")
     if entry.check is not None:
         entry.check(params)
     return params
 
 
-def _weighted_kets(entry: CatalogEntry, params: dict, scalar) -> list[tuple[object, np.ndarray]]:
-    """The family's (weight, ket) pairs with every number passed through `scalar`."""
-    m, n = entry.dims
-    pairs = []
-    for weight, terms in entry.terms(params):
-        ket = np.array([scalar(0)] * (m * n))
-        for coef, i, j in terms:
-            if not (0 <= i < m and 0 <= j < n):
-                raise ValueError(f"ket index ({i},{j}) out of range for dims ({m},{n})")
-            ket[i * n + j] += scalar(coef)
-        pairs.append((scalar(weight), ket))
-    return pairs
-
-
 def build(entry_id: str, **overrides) -> State:
     """Instantiate a catalog family as a float State."""
     entry = get_entry(entry_id)
-    pairs = _weighted_kets(entry, _merge_params(entry, overrides), complex)
-    return dm_from_kets([ket for _, ket in pairs], [w.real for w, _ in pairs],
-                        *entry.dims)
+    terms = entry.terms(_merge_params(entry, overrides))
+    return dm_from_kets([ket_vector(*entry.dims, ket) for _, ket in terms],
+                        [complex(w).real for w, _ in terms], *entry.dims)
 
 
 def build_exact(entry_id: str, **overrides) -> ExactMatrix | None:
@@ -448,38 +446,38 @@ def build_exact(entry_id: str, **overrides) -> ExactMatrix | None:
     """
     entry = get_entry(entry_id)
     params = _merge_params(entry, overrides)
+    m, n = entry.dims
+    kets = []  # (weight, {index: amplitude}) over each ket's support
     try:
-        pairs = _weighted_kets(entry, params, GaussianRational.coerce)
+        for weight, terms in entry.terms(params):
+            support: dict[int, GaussianRational] = {}
+            for coef, i, j in terms:
+                if not (0 <= i < m and 0 <= j < n):
+                    raise ValueError(f"ket index ({i},{j}) out of range for dims ({m},{n})")
+                x, k = GaussianRational.coerce(coef), i * n + j
+                support[k] = support[k] + x if k in support else x
+            kets.append((GaussianRational.coerce(weight), support))
     except TypeError:
         return None
-    if any(w.im != 0 or w.re <= 0 for w, _ in pairs):
+    if any(w.im != 0 or w.re <= 0 for w, _ in kets):
         return None  # weights must be positive rationals
-    # sum w|psi><psi| as Gaussian-integer numerators over one denominator `den`,
-    # each projector only on its ket's support: catalog kets have 1-3 terms
-    den = 1
+    # sum w|psi><psi| as Gaussian-integer numerators over den = amp_den^2 * weight_den
+    amp_den = math.lcm(*(part.denominator for _, support in kets
+                         for x in support.values() for part in (x.re, x.im)))
+    weight_den = math.lcm(*(w.re.denominator for w, _ in kets))
     acc: dict[tuple[int, int], list[int]] = {}
-    for w, ket in pairs:
-        support = [(k, x) for k, x in enumerate(ket.tolist()) if x]
-        scale = math.lcm(*(part.denominator for _, x in support for part in (x.re, x.im)))
-        ints = [(k, x.re.numerator * (scale // x.re.denominator),
-                 x.im.numerator * (scale // x.im.denominator)) for k, x in support]
-        term_den = scale * scale * w.re.denominator
-        grown = math.lcm(den, term_den)
-        if grown != den:
-            rescale = grown // den
-            for cell in acc.values():
-                cell[0] *= rescale
-                cell[1] *= rescale
-            den = grown
-        factor = w.re.numerator * (den // term_den)
+    for w, support in kets:
+        factor = w.re.numerator * (weight_den // w.re.denominator)
+        ints = [(k, x.re.numerator * (amp_den // x.re.denominator),
+                 x.im.numerator * (amp_den // x.im.denominator)) for k, x in support.items()]
         for r, ar, ai in ints:
             for c, br, bi in ints:
                 # a conj(b) = (a_r b_r + a_i b_i) + i (a_i b_r - a_r b_i)
                 cell = acc.setdefault((r, c), [0, 0])
                 cell[0] += factor * (ar * br + ai * bi)
                 cell[1] += factor * (ai * br - ar * bi)
-    d = entry.dims[0] * entry.dims[1]
-    rho = np.full((d, d), GaussianRational(), dtype=object)
+    den = amp_den * amp_den * weight_den
+    rho = np.full((m * n, m * n), GaussianRational(), dtype=object)
     for (r, c), (re, im) in acc.items():
         if re or im:
             rho[r, c] = GaussianRational(Fraction(re, den), Fraction(im, den))

@@ -129,6 +129,9 @@ def _counts_from_json(raw: list, cfg: SearchConfig, marginal) -> dict[Inertia, i
     cfg.samples, as run_search asserts on write.  Checked column-wise, as the
     alarms are."""
     counts = {Inertia(*k): v for k, v in raw}
+    if len(counts) < len(raw):
+        twice = next(k for k in counts if sum(Inertia(*t) == k for t, _ in raw) > 1)
+        raise ValueError(f"counts list inertia {twice} more than once")
     d = cfg.m * cfg.n
     if not (set(map(type, chain(*counts))) <= {int}
             and min(chain(*counts), default=0) >= 0 and set(map(sum, counts)) <= {d}):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from ptinertia import (Inertia, build, build_exact, chain_seed, herm_eig,
                        ket_vector, lemma3n_family, partial_transpose, pt_array,
                        pt_inertia, schmidt, verify, verify_all)
-from ptinertia.catalog import (_REGISTRY, CatalogEntry, _merge_params, _weighted_kets,
+from ptinertia.catalog import (_REGISTRY, CatalogEntry, _merge_params,
                                entry_ids, ex11_closed_form, expected_inertia, get_entry)
 from ptinertia.cli import main
 from ptinertia.exact import GaussianRational, exact_inertia
@@ -44,6 +44,19 @@ def test_unknown_id_and_params_rejected():
         build("npt2_iib", a=0)
     with pytest.raises(ValueError, match="vanish"):
         build("npt2_iia", a=0, b=0)
+
+
+@pytest.mark.parametrize("value, message", [
+    (float("inf"), "parameter 'a' is not finite: inf"),
+    (10 ** 400, f"parameter 'a' is not finite: {10 ** 400}"),
+    (None, "parameter 'a' is not a number: None"),
+    ("1", "parameter 'a' is not a number: '1'"),
+], ids=["inf", "past-float-range", "none", "string"])
+def test_a_parameter_without_a_finite_number_is_named_before_any_build(value, message):
+    for call in (build, build_exact, verify, expected_inertia):
+        with pytest.raises(ValueError) as info:
+            call("npt2_iia", a=value, b=1)
+        assert str(info.value) == message
 
 
 def test_ex11_grid_always_3_0_6():
@@ -199,10 +212,22 @@ def test_float_build_rounds_per_term_at_non_dyadic_points():
     assert np.abs(diff).max() <= 4 * np.finfo(float).eps
 
 
+def _exact_kets(entry, params):
+    """The family's (weight, ket) pairs, each ket a full-length GaussianRational vector."""
+    m, n = entry.dims
+    pairs = []
+    for weight, terms in entry.terms(params):
+        ket = np.full(m * n, GaussianRational(), dtype=object)
+        for coef, i, j in terms:
+            ket[i * n + j] = ket[i * n + j] + GaussianRational.coerce(coef)
+        pairs.append((GaussianRational.coerce(weight), ket))
+    return pairs
+
+
 def _dense_exact_build(entry_id, **params):
     """Reference: the sum of full d x d weighted outer products of every ket."""
     entry = get_entry(entry_id)
-    pairs = _weighted_kets(entry, _merge_params(entry, params), GaussianRational.coerce)
+    pairs = _exact_kets(entry, _merge_params(entry, params))
     return sum(np.outer(ket, np.conj(ket)) * w.re for w, ket in pairs)
 
 
@@ -236,8 +261,7 @@ def test_support_only_exact_build_equals_the_dense_sum(entry_id, params):
     assert all(type(g) is GaussianRational for g in got.flat)
     assert all(g == w for g, w in zip(got.flat, want.flat))
     entry = get_entry(entry_id)
-    pairs = _weighted_kets(entry, _merge_params(entry, params), GaussianRational.coerce)
-    _assert_zero_cells_share_one_object(got, pairs)
+    _assert_zero_cells_share_one_object(got, _exact_kets(entry, _merge_params(entry, params)))
 
 
 def test_support_only_build_cancels_exactly():
@@ -286,8 +310,40 @@ def test_exact_build_equals_the_dense_sum_on_random_kets(family):
     assert got.shape == want.shape
     assert all(type(g) is GaussianRational for g in got.flat)
     assert all(g == w for g, w in zip(got.flat, want.flat))
-    _assert_zero_cells_share_one_object(
-        got, _weighted_kets(entry, {}, GaussianRational.coerce))
+    _assert_zero_cells_share_one_object(got, _exact_kets(entry, {}))
+
+
+def _registered(mp, dims, terms):
+    """Register a family of the given kets under a throwaway id and return the id."""
+    entry = CatalogEntry(id="refused_family", dims=dims, defaults={},
+                         terms=lambda p: terms, expected=lambda p: None)
+    mp.setitem(_REGISTRY, entry.id, entry)
+    return entry.id
+
+
+@pytest.mark.parametrize("i, j", [(2, 0), (0, 3), (-1, 1)])
+def test_a_ket_index_outside_the_dims_is_refused_by_both_builds(i, j):
+    with pytest.MonkeyPatch.context() as mp:
+        entry_id = _registered(mp, (2, 3), [(1, [(1, 0, 0), (1, i, j)])])
+        for call in (build, build_exact):
+            with pytest.raises(ValueError) as info:
+                call(entry_id)
+            assert str(info.value) == f"ket index ({i},{j}) out of range for dims (2,3)"
+
+
+@pytest.mark.parametrize("weight", [0, -1])
+def test_a_weight_that_is_not_positive_is_refused(weight):
+    with pytest.MonkeyPatch.context() as mp:
+        entry_id = _registered(mp, (2, 2), [(1, [(1, 0, 0)]), (weight, [(1, 1, 1)])])
+        with pytest.raises(ValueError, match="weights must be positive"):
+            build(entry_id)
+        assert build_exact(entry_id) is None
+
+
+def test_a_gaussian_weight_has_no_exact_build():
+    with pytest.MonkeyPatch.context() as mp:
+        entry_id = _registered(mp, (2, 2), [(GaussianRational(1, 1), [(1, 0, 0)])])
+        assert build_exact(entry_id) is None
 
 
 # sha256 of the `catalog dump <id>` bytes, which format only the exact cells

@@ -339,7 +339,10 @@ def test_replay_of_a_bool_tol_zero_record_exits_2(tmp_path, capsys):
     (lambda data: data["counts"][0].__setitem__(1, -100), "counts need each count to be"),
     (lambda data: data["counts"][0].__setitem__(0, ["a", "b", "c"]), "counts need each inertia to be"),
     (lambda data: data.update(marginal=data["marginal"] + 1), "counts plus marginal make"),
-], ids=["marginal-string", "count-float", "count-negative", "triple-strings", "sum"])
+    (lambda data: data["counts"].append(list(data["counts"][0])),
+     "counts list inertia (1,0,8) more than once"),
+], ids=["marginal-string", "count-float", "count-negative", "triple-strings", "sum",
+        "triple-twice"])
 def test_replay_of_a_hand_edited_tally_exits_2(tmp_path, capsys, edit, message):
     log = tmp_path / "runs.log"
     assert run(capsys, "search", "--dims", "3", "3", "--ranks", "3", "--samples", "200",
