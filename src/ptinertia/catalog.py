@@ -432,11 +432,20 @@ def _merge_params(entry: CatalogEntry, overrides: dict) -> dict:
 
 
 def build(entry_id: str, **overrides) -> State:
-    """Instantiate a catalog family as a float State."""
+    """Instantiate a catalog family as a float State.
+
+    A weight with a nonzero imaginary part is refused, named as written.
+    """
     entry = get_entry(entry_id)
     terms = entry.terms(_merge_params(entry, overrides))
+    weights = []
+    for w, _ in terms:
+        z = complex(w)
+        if z.imag:
+            raise ValueError(f"weights must be real, got {w!r}")
+        weights.append(z.real)
     return dm_from_kets([ket_vector(*entry.dims, ket) for _, ket in terms],
-                        [complex(w).real for w, _ in terms], *entry.dims)
+                        weights, *entry.dims)
 
 
 def build_exact(entry_id: str, **overrides) -> ExactMatrix | None:

@@ -8,6 +8,9 @@ eigenvalue route.  The elimination holds each row as a dict of its nonzero
 entries and does arithmetic only where both factors of an update are
 nonzero, so a sparse partial transpose (the chain-family witnesses have a
 few percent nonzeros) costs a fraction of a dense one of the same size.
+A row whose only nonzero is its diagonal is a 1x1 block, settled by its
+sign before the elimination starts, and every sign is read from a
+numerator.
 A matrix whose entries are all real (every partial transpose of a real
 state, including the integer-Wishart and dyadic chain-family ones) is
 eliminated over Q instead: its rows hold the entries' real parts as plain
@@ -101,11 +104,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    @property
-    def real(self) -> Fraction:
-        """The real part, spelled as on Fraction so a pivot's sign reads d.real > 0."""
-        return self.re
-
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
@@ -193,6 +191,12 @@ def _sub_scaled(row: dict, coeff: GaussianRational | Fraction, other: dict) -> N
                 del row[j]
 
 
+def _positive(x: GaussianRational | Fraction) -> bool:
+    """x > 0 for a real x, read off its numerator; Fraction.real would build
+    a new Fraction."""
+    return (x if type(x) is Fraction else x.re).numerator > 0
+
+
 def exact_inertia(mat) -> Inertia:
     """Signature of an exactly Hermitian matrix over Q(i).
 
@@ -206,19 +210,32 @@ def exact_inertia(mat) -> Inertia:
     The elimination is sparse: row i is a dict {j: a_ij} of its nonzero
     entries, an update only touches entries where both of its factors are
     nonzero, and an entry that cancels to an exact zero is deleted.  A row
-    that empties is done: it is one zero eigenvalue.  The pivot is the
-    nonzero diagonal entry whose row has the fewest nonzeros, which limits
-    fill-in; Sylvester's law makes the triple independent of that order.
+    that empties is done: it is one zero eigenvalue.  A row whose only
+    nonzero is its diagonal (its column is then empty too) is a 1x1 block:
+    its sign is counted before the elimination starts and it never enters
+    the pivot scan.  The pivot is the nonzero diagonal entry whose row has
+    the fewest nonzeros, which limits fill-in; Sylvester's law makes the
+    triple independent of that order.
 
     When no entry has a nonzero imaginary part the rows hold Fractions and
     the same loop runs over Q, which gives the Q(i) triple (see the module
     docstring): + - * /, conjugate() and bool() mean the same on Fraction
-    and GaussianRational, and both spell a pivot's sign d.real > 0.  A
-    single imaginary entry keeps the whole matrix on GaussianRational.
+    and GaussianRational.  A single imaginary entry keeps the whole matrix
+    on GaussianRational.  A diagonal entry is real, and its sign is read
+    from the numerator of the Fraction or of its ``re``.
     """
     rows = _sparse_rows(mat)
-    active = {i for i, row in enumerate(rows) if row}
     neg = pos = 0
+    active = set()
+    for i, row in enumerate(rows):
+        if len(row) == 1 and i in row:
+            # a 1x1 block: _sparse_rows checked Hermiticity, so its column is empty too
+            if _positive(row[i]):
+                pos += 1
+            else:
+                neg += 1
+        elif row:
+            active.add(i)
     while active:
         pivot = min((p for p in active if p in rows[p]), key=lambda p: len(rows[p]),
                     default=None)
@@ -241,7 +258,7 @@ def exact_inertia(mat) -> Inertia:
         prow = rows[pivot]
         d = prow.pop(pivot)
         active.discard(pivot)
-        if d.real > 0:
+        if _positive(d):
             pos += 1
         else:
             neg += 1

@@ -346,6 +346,27 @@ def test_a_gaussian_weight_has_no_exact_build():
         assert build_exact(entry_id) is None
 
 
+@pytest.mark.parametrize("weight, written", [
+    (GaussianRational(1, 1), "GaussianRational(1, 1)"),
+    (1j, "1j"),
+    (complex(2, -1), "(2-1j)"),
+])
+def test_a_weight_with_an_imaginary_part_is_refused_as_written(weight, written):
+    with pytest.MonkeyPatch.context() as mp:
+        entry_id = _registered(mp, (2, 2), [(1, [(1, 0, 0)]), (weight, [(1, 1, 1)])])
+        for call in (build, verify):
+            with pytest.raises(ValueError) as info:
+                call(entry_id)
+            assert str(info.value) == f"weights must be real, got {written}"
+
+
+@pytest.mark.parametrize("weight", [GaussianRational(2), complex(2, 0), 2.0])
+def test_a_real_weight_of_any_type_builds_as_its_value(weight):
+    with pytest.MonkeyPatch.context() as mp:
+        entry_id = _registered(mp, (2, 2), [(1, [(1, 0, 0)]), (weight, [(1, 1, 1)])])
+        assert np.array_equal(build(entry_id).mat, np.diag([1, 0, 0, 2]).astype(complex))
+
+
 # sha256 of the `catalog dump <id>` bytes, which format only the exact cells
 DUMP_SHA256 = {
     "arr13_i": "189fe02746d4684311fba8db8992ef1664ad14f987eaad5343cb88a8be425ac5",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptinertia import build_exact, inertia_of, pt_array
+from ptinertia import build_exact, inertia_of, lemma3n_family, pt_array
 from ptinertia.exact import GaussianRational, _sparse_rows, exact_inertia
 from ptinertia.linalg import Inertia
 
@@ -428,3 +428,40 @@ def test_real_input_rejects_a_float_entry(mat, as_array):
 def test_real_input_rejects_non_square_and_non_symmetric(mat):
     with pytest.raises(ValueError, match="exact_inertia requires an exactly Hermitian matrix"):
         exact_inertia(mat)
+
+
+def _one_by_one_rows(mat) -> list[int]:
+    """The rows of mat whose only nonzero is their own diagonal."""
+    return [i for i, row in enumerate(_sparse_rows(mat)) if list(row) == [i]]
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (3, 4)])
+def test_every_chain_family_row_certifies_exactly(m, n):
+    exact_view = np.vectorize(Fraction, otypes=[object])  # the entries are dyadic
+    for want, state in lemma3n_family(n, m=m):
+        assert not state.mat.imag.any()
+        gamma = pt_array(exact_view(state.mat.real), m, n)
+        assert _one_by_one_rows(gamma)
+        assert exact_inertia(gamma) == want
+
+
+def _blocks_and_one_by_ones(coupled):
+    """d = 8: 1x1 blocks 3, -1/2 and -2/3 at rows 0, 3 and 7, an all-zero row
+    1, the block [[1, 2], [2, 1]] on rows 2 and 5 and the zero-diagonal block
+    [[0, c], [conj(c), 0]] on rows 4 and 6; the triple is (4,1,3)."""
+    mat = [[G(0)] * 8 for _ in range(8)]
+    for i, x in ((0, 3), (3, Fraction(-1, 2)), (7, Fraction(-2, 3)), (2, 1), (5, 1)):
+        mat[i][i] = G(x)
+    mat[2][5] = mat[5][2] = G(2)
+    mat[4][6], mat[6][4] = coupled, coupled.conjugate()
+    return mat
+
+
+@pytest.mark.parametrize("coupled, scalar", [(G(5), Fraction), (G(1, 1), G)])
+def test_one_by_one_blocks_beside_coupled_blocks_match_both_oracles(coupled, scalar):
+    mat = _blocks_and_one_by_ones(coupled)
+    assert is_exactly_hermitian(mat)
+    assert row_scalar_types(mat) == {scalar}
+    assert _one_by_one_rows(mat) == [0, 3, 7]
+    got = exact_inertia(mat)
+    assert got == dense_elimination_inertia(mat) == charpoly_inertia(mat) == Inertia(4, 1, 3)
