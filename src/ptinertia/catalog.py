@@ -27,7 +27,7 @@ import numpy as np
 
 from .exact import ExactMatrix, GaussianRational, exact_inertia
 from .inertia import Inertia, pt_inertia
-from .linalg import TOL_ZERO
+from .linalg import TOL_ZERO, herm_eig, spectrum_inertia
 from .states import State, dm_from_kets, ket_vector, pt_array
 
 Terms = list[tuple[object, list[tuple[object, int, int]]]]
@@ -567,28 +567,31 @@ def lemma3n_family(n: int, tol_zero: float = TOL_ZERO, *,
 
         (k, mn-2k-2-j, k+2+j)   for 0 <= j <= mn-2k-2.
 
-    Every output is re-verified; a mismatch raises.
+    Every output is re-verified, the rows of one seed by one validated
+    eigensolve of their stacked PTs (linalg.herm_eig); the first row off its
+    triple, in (k, j) order, raises.
     """
     if n < 2 or m < 2:
         raise ValueError(f"need m >= 2 and n >= 2, got m={m}, n={n}")
     d = m * n
     out: list[tuple[Inertia, State]] = []
     for k in range(1, n):
-        seed = chain_seed(n, k)
-        liftable = [(i, t) for i in range(m) for t in range(n) if i >= 2 or t > k]
+        liftable = [i * n + t for i in range(m) for t in range(n) if i >= 2 or t > k]
         width = d - 2 * k - 2
         assert len(liftable) == width
-        base = np.zeros((d, d), dtype=complex)
-        base[:2 * n, :2 * n] = seed.mat
-        for j in range(width + 1):
-            mat = base.copy()
-            for i, t in liftable[:j]:
-                mat[i * n + t, i * n + t] += 0.125
-            state = State(m, n, mat)
-            want = Inertia(k, d - 2 * k - 2 - j, k + 2 + j)
-            got = pt_inertia(state, tol_zero)
+        rows = np.zeros((width + 1, d, d), dtype=complex)
+        rows[:, :2 * n, :2 * n] = chain_seed(n, k).mat
+        # row j of this np.tri is 1 in its first j columns, so row j lifts
+        # liftable[:j]; the 0.0 added to the rest leaves those zeros as they are
+        lifted = np.array(liftable, dtype=np.intp)
+        rows[:, lifted, lifted] += 0.125 * np.tri(width + 1, width, -1)
+        pts = np.stack([pt_array(row, m, n) for row in rows])
+        (neg, zero, pos), _ = spectrum_inertia(herm_eig(pts).values, tol_zero)
+        for j, row in enumerate(rows):
+            want = Inertia(k, width - j, k + 2 + j)
+            got = Inertia(int(neg[j]), int(zero[j]), int(pos[j]))
             if got != want:
                 raise RuntimeError(f"family row k={k}, j={j}: got {got}, wanted {want}")
-            out.append((want, state))
+            out.append((want, State(m, n, row.copy())))
     assert len(out) == (n - 1) * (d - n - 1)
     return out

@@ -130,7 +130,10 @@ class GaussianRational:
         return f"GaussianRational({self.re}, {self.im})"
 
     def __str__(self) -> str:
-        # "p/q+r/sj" from the integer parts, as matio.parse_entry reads it
+        # "p/q+r/sj" from the integer parts, as matio.parse_entry reads it; most
+        # cells of a sparse PT are zero, and a zero needs none of them
+        if not (self.re or self.im):
+            return "0+0j"
         a, b = self.re.numerator, self.re.denominator
         c, d = self.im.numerator, self.im.denominator
         re_s = f"{a}" if b == 1 else f"{a}/{b}"

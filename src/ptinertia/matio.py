@@ -39,7 +39,9 @@ _RAT_FULL = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?j)?$")
 _RAT_IMAG = re.compile(r"^([+-]?\d+)(?:/(\d+))?j$")
 _ZERO = Fraction(0)
 
-_KET_TERM = re.compile(r"([+-]?)\s*([^|+-]*)\s*\|\s*(\d+)\s*,\s*(\d+)\s*>")
+# a coefficient holds no + or - except the sign of an exponent (1e-3, 2.5E+2)
+_KET_TERM = re.compile(
+    r"([+-]?)\s*((?:[^|+-]|(?<=[\d.][eE])[+-])*)\s*\|\s*(\d+)\s*,\s*(\d+)\s*>")
 
 
 @dataclass
@@ -161,9 +163,12 @@ def save_matrix(path, mat: np.ndarray, m: int = 0, n: int = 0, exact=None) -> No
 def parse_ket(literal: str, m: int, n: int) -> np.ndarray:
     """Parse a ket literal like ``"1|0,0> + 1|1,1> + 0.5|2,2>"``.
 
-    A coefficient is a matrix-file entry token (parse_entry: decimal,
-    rational ``p/q``, complex, ``1/2j``), spaces ignored; an omitted
-    coefficient means 1.  Returns the amplitude vector in the row-major
+    A coefficient is a matrix-file entry token (parse_entry: decimal with
+    an optional signed exponent ``1e-3``, rational ``p/q``, imaginary
+    ``2j``, ``1/2j``), spaces ignored; an omitted coefficient means 1.  A
+    ``+`` or ``-`` that does not follow an exponent marker starts a new
+    term, so an ``a+bj`` coefficient is refused: ``-1-2j|0,0>`` would read
+    as -(1-2j).  Returns the amplitude vector in the row-major
     (A-index, B-index) convention.  A term whose coefficient does not parse
     (``1/0``) or leaves its amplitude non-finite (``inf``, ``nan``, overflow)
     raises ValueError naming the term.

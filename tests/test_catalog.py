@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +170,44 @@ def test_lemma3n_family_counts(n, count, m):
         for j in range(m * n - 2 * k - 1):
             assert (k, m * n - 2 * k - 2 - j, k + 2 + j) in triples
     assert all((state.m, state.n) == (m, n) for _, state in family)
+
+
+def _family_rows_one_by_one(n, m):
+    """Each chain-family row built on its own: seed k on A-levels 0 and 1,
+    then the first j liftable diagonal entries lifted by 0.125."""
+    d = m * n
+    for k in range(1, n):
+        base = np.zeros((d, d), dtype=complex)
+        base[:2 * n, :2 * n] = chain_seed(n, k).mat
+        liftable = [(i, t) for i in range(m) for t in range(n) if i >= 2 or t > k]
+        for j in range(len(liftable) + 1):
+            mat = base.copy()
+            for i, t in liftable[:j]:
+                mat[i * n + t, i * n + t] += 0.125
+            yield Inertia(k, d - 2 * k - 2 - j, k + 2 + j), mat
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 4), (3, 8), (4, 3)])
+def test_lemma3n_rows_are_the_rows_built_one_by_one(m, n):
+    family = lemma3n_family(n, m=m)
+    reference = list(_family_rows_one_by_one(n, m))
+    assert [want for want, _ in family] == [want for want, _ in reference]
+    for (_, state), (_, mat) in zip(family, reference):
+        assert (state.m, state.n) == (m, n)
+        assert state.mat.dtype == mat.dtype and state.mat.shape == mat.shape
+        # each row owns its own C-ordered matrix, not a view into a shared stack
+        assert state.mat.flags.c_contiguous and state.mat.flags.owndata
+        assert state.mat.tobytes() == mat.tobytes()
+
+
+@pytest.mark.parametrize("tol, m, n, row", [
+    (0.2, 3, 3, "k=1, j=1: got (1,5,3), wanted (1,4,4)"),
+    # the seeds k = 1 and 2 pass at this band; the first row off is in seed 3
+    (0.01, 3, 4, "k=3, j=1: got (3,4,5), wanted (3,3,6)"),
+])
+def test_a_band_that_absorbs_the_lifts_fails_the_first_row_it_misses(tol, m, n, row):
+    with pytest.raises(RuntimeError, match=re.escape(f"family row {row}")):
+        lemma3n_family(n, tol, m=m)
 
 
 def test_lemma3n_rejects_small_n():

@@ -88,6 +88,18 @@ def test_schmidt_command(capsys):
     assert lines[1].startswith("coefficients 1 1")
 
 
+@pytest.mark.parametrize("ket, coefficients", [
+    ("1|0,0> + 1e-3|1,1>", "coefficients 1 0.001"),
+    ("2.5E+2|0,0> + 1|1,1>", "coefficients 250 1"),
+    ("1|0,0> - 1e-3|1,1>", "coefficients 1 0.001"),
+    ("1|0,0> + 1e-3j|1,1>", "coefficients 1 0.001"),
+])
+def test_schmidt_reads_a_coefficient_with_a_signed_exponent(capsys, ket, coefficients):
+    code, out, err = run(capsys, "schmidt", "--ket", ket, "--dims", "2", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["rank 2", coefficients]
+
+
 def test_catalog_verify_all_passes(capsys):
     code, out, _ = run(capsys, "catalog", "verify", "--all")
     assert code == 0
@@ -232,6 +244,7 @@ def test_search_and_replay_exit_codes(search_logs, capsys, argv, expected):
     (None, ["schmidt", "--ket", "inf|0,0> + 1|1,1>", "--dims", "2", "2"]),
     (None, ["schmidt", "--ket", "nan|0,0> + 1|1,1>", "--dims", "2", "2"]),
     (None, ["schmidt", "--ket", "1/0|0,0> + 1|1,1>", "--dims", "2", "2"]),
+    (None, ["schmidt", "--ket", "1+2j|0,0> + 1|1,1>", "--dims", "2", "2"]),
     (None, ["inertia", "--file", "{dir}/zero_denominator.txt"]),
     (None, ["inertia", "--file", "{dir}/negative_dims.txt"]),
     (None, ["verify-ew", "--file", "{dir}/eye.txt", "--restarts", "-1"]),

@@ -145,3 +145,54 @@ def test_marginal_band_matches_the_six_count_rule(tol):
     _, stacked = spectrum_inertia(rows, tol)
     assert (stacked == want).all()
     assert [spectrum_inertia(row, tol)[1] for row in rows] == want.tolist()
+
+
+@pytest.mark.parametrize("k, dim, kind", [(1, 6, "complex"), (5, 9, "complex"),
+                                          (1, 4, "real"), (7, 12, "real")])
+def test_a_stack_decomposes_as_its_matrices_one_by_one(rng, k, dim, kind):
+    stack = np.array([random_hermitian(rng, dim, scale=3.0) for _ in range(k)])
+    if kind == "real":
+        stack = stack.real
+    dec = herm_eig(stack)
+    assert dec.values.shape == (k, dim) and dec.vectors.shape == (k, dim, dim)
+    for mat, values, vectors in zip(stack, dec.values, dec.vectors):
+        one = herm_eig(mat)
+        assert np.array_equal(values, one.values)
+        assert np.array_equal(vectors, one.vectors)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("nan", r"^stack index 2: matrix entry \(1,0\) is not finite: "),
+    ("inf", r"^stack index 2: matrix entry \(1,0\) is not finite: "),
+    ("asymmetric", r"^stack index 2: matrix is not Hermitian: max asymmetry 5\.000e-01"),
+])
+def test_a_stack_names_the_first_matrix_that_fails_a_check(rng, fault, message):
+    stack = np.array([random_hermitian(rng, 5) for _ in range(4)])
+    bad = {"nan": np.nan, "inf": np.inf, "asymmetric": stack[2, 1, 0] + 0.5}[fault]
+    stack[2, 1, 0] = bad
+    stack[3, 0, 1] = bad  # a later matrix with the same fault is not the one named
+    with pytest.raises(ValueError, match=message):
+        herm_eig(stack)
+    # a single matrix keeps its message, with no stack index
+    with pytest.raises(ValueError, match=message.replace("^stack index 2: ", "^")):
+        herm_eig(stack[2])
+
+
+def test_a_stack_names_the_first_matrix_whose_decomposition_fails_validation(rng, monkeypatch):
+    stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
+    eigh = np.linalg.eigh
+
+    def eigh_shifted_by(shift):
+        # shifted eigenvalues leave a residual of about |shift| in the check
+        def shifted(mat):
+            values, vectors = eigh(mat)
+            return values + shift, vectors
+        return shifted
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_shifted_by(np.array([[0.0], [1e-3], [1e-3]])))
+    with pytest.raises(RuntimeError, match=r"^stack index 1: eigendecomposition failed "
+                                           r"validation: residual="):
+        herm_eig(stack)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_shifted_by(1e-3))
+    with pytest.raises(RuntimeError, match=r"^eigendecomposition failed validation: residual="):
+        herm_eig(stack[0])

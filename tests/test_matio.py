@@ -166,6 +166,28 @@ def test_parse_ket_reads_coefficients_as_matrix_entries():
         assert matio.parse_ket(f"{token}|1,0>", 2, 2)[2] == matio.parse_entry(token)[0]
 
 
+@pytest.mark.parametrize("literal, index, value", [
+    ("1|0,0> + 1e-3|1,1>", 3, 1e-3),
+    ("2.5E+2|0,0> + 1|1,1>", 0, 250.0),
+    ("1|0,0> - 1e-3|1,1>", 3, -1e-3),
+    ("1|0,0> + 1e-3j|1,1>", 3, 1e-3j),
+])
+def test_a_coefficient_with_a_signed_exponent_is_one_term(literal, index, value):
+    vec = matio.parse_ket(literal, 2, 2)
+    assert vec[index] == value
+    assert np.count_nonzero(vec) == 2
+
+
+@pytest.mark.parametrize("literal, leftover", [
+    ("1+2j|0,0> + 1|1,1>", "'1'"),
+    ("-1-2j|0,0>", "'-1'"),  # not -(1-2j)
+    ("1e-3-2j|0,0>", "'1e-3'"),
+])
+def test_an_a_plus_bj_coefficient_is_refused(literal, leftover):
+    with pytest.raises(ValueError, match=f"unparsed text in ket literal: {leftover}$"):
+        matio.parse_ket(literal, 2, 2)
+
+
 def _old_str(g):
     """GaussianRational.__str__ as the f-string over Fraction parts it replaced."""
     sign = "+" if g.im >= 0 else "-"
