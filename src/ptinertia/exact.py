@@ -9,8 +9,12 @@ entries and does arithmetic only where both factors of an update are
 nonzero, so a sparse partial transpose (the chain-family witnesses have a
 few percent nonzeros) costs a fraction of a dense one of the same size.
 A row whose only nonzero is its diagonal is a 1x1 block, settled by its
-sign before the elimination starts, and every sign is read from a
-numerator.
+sign before the elimination starts.  So are 2x2 blocks: rows i and j whose
+nonzeros all lie in columns i and j hold [[a, b], [conj(b), c]], and by
+Sylvester's law det = a c - |b|^2 < 0 gives one negative and one positive
+eigenvalue, det > 0 two of the sign of a, and det = 0 one zero and one of
+the sign of a (a != 0 there, as a c = |b|^2 > 0).  Every sign is read from
+a numerator.
 A matrix whose entries are all real (every partial transpose of a real
 state, including the integer-Wishart and dyadic chain-family ones) is
 eliminated over Q instead: its rows hold the entries' real parts as plain
@@ -150,23 +154,33 @@ def _sparse_rows(mat) -> list[dict[int, GaussianRational | Fraction]]:
     The entries are GaussianRational, or their real parts as Fractions when
     no entry of mat has a nonzero imaginary part.
     """
-    cells = mat.tolist() if isinstance(mat, np.ndarray) else mat
-    if any(len(row) != len(cells) for row in cells):
-        raise ValueError("exact_inertia requires an exactly Hermitian matrix")
+    if isinstance(mat, np.ndarray):
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError("exact_inertia requires an exactly Hermitian matrix")
+        cells = mat.tolist()
+    else:
+        cells = mat
+        if any(len(row) != len(cells) for row in cells):
+            raise ValueError("exact_inertia requires an exactly Hermitian matrix")
     coerce = GaussianRational.coerce
     zero = None  # exact matrices share one zero object; skip it by identity
-    rows = []
+    rows, real_rows = [], []
+    imaginary = False
     for row in cells:
-        nonzeros = {}
+        nonzeros, reals = {}, {}
         for j, x in enumerate(row):
             if x is zero:
                 continue
             if x:
-                nonzeros[j] = coerce(x)
+                x = nonzeros[j] = coerce(x)
+                reals[j] = x.re
+                if x.im:
+                    imaginary = True
             else:
                 coerce(x)  # a float zero is rejected like any float
                 zero = x
         rows.append(nonzeros)
+        real_rows.append(reals)
     for i, row in enumerate(rows):
         for j, x in row.items():
             y = rows[j].get(i)
@@ -174,9 +188,7 @@ def _sparse_rows(mat) -> list[dict[int, GaussianRational | Fraction]]:
                 continue  # a shared real entry is its own conjugate
             if y is None or x.re != y.re or x.im != -y.im:
                 raise ValueError("exact_inertia requires an exactly Hermitian matrix")
-    if not any(x.im for row in rows for x in row.values()):
-        rows = [{j: x.re for j, x in row.items()} for row in rows]
-    return rows
+    return rows if imaginary else real_rows
 
 
 def _sub_scaled(row: dict, coeff: GaussianRational | Fraction, other: dict) -> None:
@@ -200,6 +212,26 @@ def _positive(x: GaussianRational | Fraction) -> bool:
     return (x if type(x) is Fraction else x.re).numerator > 0
 
 
+def _real(x: GaussianRational | Fraction | int) -> Fraction | int:
+    """The real part of a diagonal entry, or of an absent one (0)."""
+    return x.re if type(x) is GaussianRational else x
+
+
+def _abs2(x: GaussianRational | Fraction) -> Fraction:
+    return x * x if type(x) is Fraction else x.abs2()
+
+
+def _partner(i: int, row: dict) -> int | None:
+    """j when row i's keys are {j} or {i, j} for one j != i, else None."""
+    if len(row) == 1:
+        j = next(iter(row))
+        return None if j == i else j
+    if len(row) == 2 and i in row:
+        j, k = row
+        return k if j == i else j
+    return None
+
+
 def exact_inertia(mat) -> Inertia:
     """Signature of an exactly Hermitian matrix over Q(i).
 
@@ -216,9 +248,14 @@ def exact_inertia(mat) -> Inertia:
     that empties is done: it is one zero eigenvalue.  A row whose only
     nonzero is its diagonal (its column is then empty too) is a 1x1 block:
     its sign is counted before the elimination starts and it never enters
-    the pivot scan.  The pivot is the nonzero diagonal entry whose row has
-    the fewest nonzeros, which limits fill-in; Sylvester's law makes the
-    triple independent of that order.
+    the pivot scan.  Rows i and j whose keys both lie in {i, j} are a 2x2
+    block, counted the same way from a = a_ii, c = a_jj (0 when absent) and
+    det = a c - |a_ij|^2: det < 0 is one negative and one positive, det > 0
+    two of the sign of a, det = 0 one zero and one of the sign of a.  A row
+    that also touches a third row stays in the elimination.  The pivot is
+    the nonzero diagonal entry whose row has the fewest nonzeros, which
+    limits fill-in; Sylvester's law makes the triple independent of that
+    order.
 
     When no entry has a nonzero imaginary part the rows hold Fractions and
     the same loop runs over Q, which gives the Q(i) triple (see the module
@@ -231,14 +268,32 @@ def exact_inertia(mat) -> Inertia:
     neg = pos = 0
     active = set()
     for i, row in enumerate(rows):
+        if not row:
+            continue
         if len(row) == 1 and i in row:
             # a 1x1 block: _sparse_rows checked Hermiticity, so its column is empty too
             if _positive(row[i]):
                 pos += 1
             else:
                 neg += 1
-        elif row:
+            continue
+        j = _partner(i, row)
+        if j is None or _partner(j, rows[j]) != i:
             active.add(i)
+        elif i < j:
+            # a 2x2 block [[a, b], [conj(b), c]]; Hermiticity empties its columns too
+            a, c = _real(row.get(i, 0)), _real(rows[j].get(j, 0))
+            det = a * c - _abs2(row[j])
+            if det.numerator < 0:
+                neg += 1
+                pos += 1
+            else:
+                # a c >= |b|^2 > 0, so a != 0: two of its sign, one if det = 0
+                k = 2 if det.numerator else 1
+                if a.numerator > 0:
+                    pos += k
+                else:
+                    neg += k
     while active:
         pivot = min((p for p in active if p in rows[p]), key=lambda p: len(rows[p]),
                     default=None)

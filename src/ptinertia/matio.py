@@ -9,13 +9,18 @@ rationals too large for a float are rejected.  Files whose every entry is
 rational also carry an exact view, an ExactMatrix (object array of
 GaussianRational), for the exact inertia path; dumps_matrix also takes nested
 lists for it.  A ket literal's coefficients are entry tokens too, read by the
-same parse_entry, which builds each rational part from the integers of its
-token.
+same parse_entry, which builds both views of a rational token from its
+integers: each exact part as a Fraction, and the float view as
+complex(p / q, r / s), whose correctly rounded int quotients have the bits
+of the exact value's complex().  load_matrix reads a file as bytes and
+decodes it as UTF-8.
 
-loads_matrix costs time per distinct token, not per cell: it numbers the
-distinct tokens of a file in order of first appearance, parses each once,
-and fills both views by indexing the parsed values with one array of token
-numbers, so the cells holding one token share one GaussianRational.  Of
+loads_matrix costs time per distinct token, not per cell: one dict pass
+over the cells records the first cell of each distinct token, so the tokens
+come in order of first appearance and a token's number is the rank of its
+first cell.  Each distinct token is parsed once, and both views are filled
+by indexing the parsed values with one array of token numbers, so the cells
+holding one token share one GaussianRational.  Of
 several faults in a file the first in reading order is reported: a row of
 the wrong length after every token of the rows above it is checked, a
 non-finite token at the row and column where it first appears.
@@ -28,7 +33,7 @@ import io
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -37,7 +42,6 @@ from .exact import ExactMatrix, GaussianRational
 # groups: numerator, then denominator or None, of each rational part
 _RAT_FULL = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?j)?$")
 _RAT_IMAG = re.compile(r"^([+-]?\d+)(?:/(\d+))?j$")
-_ZERO = Fraction(0)
 
 # a coefficient holds no + or - except the sign of an exponent (1e-3, 2.5E+2)
 _KET_TERM = re.compile(
@@ -58,24 +62,35 @@ class MatrixFile:
         return self.m > 0 and self.n > 0
 
 
-def _fraction(num: str, den: str | None) -> Fraction:
-    # Fraction(int, int) skips the string parse of Fraction("p/q")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+def _ints(num: str | None, den: str | None) -> tuple[int, int]:
+    """Numerator and denominator of one rational part; an absent part is 0/1."""
+    return (int(num), int(den) if den else 1) if num else (0, 1)
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    # Fraction(n) skips the gcd of Fraction(n, d)
+    return Fraction(num, den) if den != 1 else Fraction(num)
 
 
 def parse_entry(token: str) -> tuple[complex, GaussianRational | None]:
-    """Parse one entry token; returns (float value, exact value or None)."""
+    """Parse one entry token; returns (float value, exact value or None).
+
+    A rational token's float value is complex(p / q, r / s) of its integers:
+    int true division is correctly rounded, so it has the bits of the
+    exact value's complex().
+    """
     try:
         match = _RAT_FULL.match(token)
         if match:
             p, q, r, s = match.groups()
-            g = GaussianRational(_fraction(p, q), _fraction(r, s) if r else _ZERO)
-            return complex(g), g
-        match = _RAT_IMAG.match(token)
-        if match:
-            g = GaussianRational(_ZERO, _fraction(*match.groups()))
-            return complex(g), g
-        return complex(token), None
+        else:
+            match = _RAT_IMAG.match(token)
+            if not match:
+                return complex(token), None
+            p = q = None
+            r, s = match.groups()
+        (p, q), (r, s) = _ints(p, q), _ints(r, s)
+        return complex(p / q, r / s), GaussianRational(_fraction(p, q), _fraction(r, s))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         # OverflowError: a rational too large for its float view
         raise ValueError(f"cannot parse matrix entry {token!r}") from exc
@@ -112,21 +127,25 @@ def loads_matrix(text: str) -> MatrixFile:
     rows = [line.split() for line in lines[1:]]
     # a short or long row is reported only after the tokens of the rows above it
     bad = next((i for i, row in enumerate(rows) if len(row) != dim), None)
-    tokens = list(chain.from_iterable(rows[:bad]))
-    number = dict.fromkeys(tokens)  # distinct tokens in reading order
-    cells = []
-    for k, tok in enumerate(number):
-        cell = parse_entry(tok)
-        if not cmath.isfinite(cell[0]):
-            i, j = divmod(tokens.index(tok), dim)
+    # first maps each distinct token, in reading order, to the first cell that
+    # holds it; first_cell[c] is that cell for the token in cell c
+    first: dict[str, int] = {}
+    first_cell = np.fromiter(map(first.setdefault, chain.from_iterable(rows[:bad]), count()),
+                             dtype=np.intp, count=dim * (dim if bad is None else bad))
+    parsed = []
+    for tok, c in first.items():
+        views = parse_entry(tok)
+        if not cmath.isfinite(views[0]):
+            i, j = divmod(c, dim)
             raise ValueError(f"row {i}, column {j}: non-finite entry {tok!r}")
-        number[tok] = k
-        cells.append(cell)
+        parsed.append(views)
     if bad is not None:
         raise ValueError(f"row {bad} has {len(rows[bad])} entries, expected {dim}")
-    index = np.fromiter(map(number.__getitem__, tokens), dtype=np.intp,
-                        count=len(tokens)).reshape(dim, dim)
-    values, exacts = zip(*cells)
+    # first cells increase in reading order, so a token's number is the rank
+    # of its first cell among them
+    firsts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    index = np.searchsorted(firsts, first_cell).reshape(dim, dim)
+    values, exacts = zip(*parsed)
     mat = np.array(values, dtype=complex)[index]
     exact: ExactMatrix | None = None
     if all(g is not None for g in exacts):
@@ -135,8 +154,8 @@ def loads_matrix(text: str) -> MatrixFile:
 
 
 def load_matrix(path) -> MatrixFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_matrix(fh.read())
+    with open(path, "rb") as fh:
+        return loads_matrix(fh.read().decode("utf-8"))
 
 
 def dumps_matrix(mat: np.ndarray, m: int = 0, n: int = 0, exact=None) -> str:
@@ -173,6 +192,8 @@ def parse_ket(literal: str, m: int, n: int) -> np.ndarray:
     (``1/0``) or leaves its amplitude non-finite (``inf``, ``nan``, overflow)
     raises ValueError naming the term.
     """
+    if m < 1 or n < 1:
+        raise ValueError(f"local dimensions must be >= 1, got ({m},{n})")
     vec = np.zeros(m * n, dtype=complex)
     matched_spans = []
     for match in _KET_TERM.finditer(literal):

@@ -100,6 +100,13 @@ def test_schmidt_reads_a_coefficient_with_a_signed_exponent(capsys, ket, coeffic
     assert out.splitlines()[:2] == ["rank 2", coefficients]
 
 
+@pytest.mark.parametrize("dims", [("2", "-1"), ("0", "2"), ("-1", "-1")])
+def test_schmidt_refuses_a_dimension_below_one(capsys, dims):
+    code, out, err = run(capsys, "schmidt", "--ket", "1|0,0>", "--dims", *dims)
+    assert (code, out) == (2, "")
+    assert err == f"error: local dimensions must be >= 1, got ({dims[0]},{dims[1]})\n"
+
+
 def test_catalog_verify_all_passes(capsys):
     code, out, _ = run(capsys, "catalog", "verify", "--all")
     assert code == 0

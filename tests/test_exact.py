@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptinertia import build_exact, inertia_of, lemma3n_family, pt_array
+from ptinertia import build_exact, exact, inertia_of, lemma3n_family, pt_array
 from ptinertia.exact import GaussianRational, _sparse_rows, exact_inertia
 from ptinertia.linalg import Inertia
 
@@ -62,6 +62,10 @@ def test_exact_inertia_rejects_non_hermitian():
     [[G(1), G(0)], [G(0, 1), G(1)]],  # a nonzero entry whose mirror is zero
     [[G(0, 1)]],  # a non-real diagonal
     [[G(0), G(1, 1)], [G(1, 1), G(0)]],  # symmetric but not Hermitian
+    np.array([G(1), G(0)], dtype=object),  # 1-D
+    np.array([1, 0, 0, 1], dtype=object),  # 1-D of ints
+    np.array([[[G(1)]]], dtype=object),  # 3-D
+    np.array(G(1), dtype=object),  # 0-D
 ])
 def test_exact_inertia_rejects_non_square_and_non_hermitian(mat):
     with pytest.raises(ValueError, match="exact_inertia requires an exactly Hermitian matrix"):
@@ -430,19 +434,35 @@ def test_real_input_rejects_non_square_and_non_symmetric(mat):
         exact_inertia(mat)
 
 
+def _spy_elimination(monkeypatch) -> list:
+    """Record every Schur update exact_inertia's elimination makes."""
+    calls = []
+
+    def spy(row, coeff, other):
+        calls.append(coeff)
+        sub_scaled(row, coeff, other)
+
+    sub_scaled = exact._sub_scaled
+    monkeypatch.setattr(exact, "_sub_scaled", spy)
+    return calls
+
+
 def _one_by_one_rows(mat) -> list[int]:
     """The rows of mat whose only nonzero is their own diagonal."""
     return [i for i, row in enumerate(_sparse_rows(mat)) if list(row) == [i]]
 
 
 @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (3, 4)])
-def test_every_chain_family_row_certifies_exactly(m, n):
+def test_every_chain_family_row_certifies_exactly(monkeypatch, m, n):
     exact_view = np.vectorize(Fraction, otypes=[object])  # the entries are dyadic
+    calls = _spy_elimination(monkeypatch)
     for want, state in lemma3n_family(n, m=m):
         assert not state.mat.imag.any()
         gamma = pt_array(exact_view(state.mat.real), m, n)
         assert _one_by_one_rows(gamma)
         assert exact_inertia(gamma) == want
+    # every chain-family PT splits into 1x1 and 2x2 blocks: no pivot is taken
+    assert calls == []
 
 
 def _blocks_and_one_by_ones(coupled):
@@ -465,3 +485,99 @@ def test_one_by_one_blocks_beside_coupled_blocks_match_both_oracles(coupled, sca
     assert _one_by_one_rows(mat) == [0, 3, 7]
     got = exact_inertia(mat)
     assert got == dense_elimination_inertia(mat) == charpoly_inertia(mat) == Inertia(4, 1, 3)
+
+
+@pytest.mark.parametrize("a, c, b, want", [
+    (1, 1, 2, Inertia(1, 0, 1)),  # det < 0
+    (Fraction(1, 2), -3, Fraction(1, 3), Inertia(1, 0, 1)),  # det < 0, a c < 0
+    (2, 3, 1, Inertia(0, 0, 2)),  # det > 0, a > 0
+    (-2, Fraction(-3, 2), 1, Inertia(2, 0, 0)),  # det > 0, a < 0
+    (1, 4, 2, Inertia(0, 1, 1)),  # det = 0, a > 0
+    (Fraction(-1, 2), -8, 2, Inertia(1, 1, 0)),  # det = 0, a < 0
+    (0, 3, 1, Inertia(1, 0, 1)),  # a zero diagonal
+    (Fraction(-5, 7), 0, 2, Inertia(1, 0, 1)),  # the other diagonal zero
+    (0, 0, Fraction(1, 3), Inertia(1, 0, 1)),  # two zero diagonals
+])
+@pytest.mark.parametrize("phase", [G(1), G(0, 1), G(Fraction(3, 5), Fraction(-4, 5))])
+def test_two_by_two_blocks_are_settled_by_their_determinant(monkeypatch, a, c, b, want, phase):
+    # |phase| = 1, so a phase keeps |b|^2; G(1) keeps the block over Q
+    b = phase * b
+    mat = [[G(0)] * 4 for _ in range(4)]
+    mat[3][3], mat[1][1] = G(a), G(c)
+    mat[3][1], mat[1][3] = b, b.conjugate()
+    assert is_exactly_hermitian(mat)
+    assert row_scalar_types(mat) == ({Fraction} if phase == 1 else {G})
+    calls = _spy_elimination(monkeypatch)
+    got = exact_inertia(mat)
+    assert got == dense_elimination_inertia(mat) == charpoly_inertia(mat)
+    assert got == Inertia(want.neg, want.zero + 2, want.pos)  # rows 0 and 2 are zero
+    assert calls == []
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2), (2, 1, 0), (1, 0, 2), (1, 2, 0)])
+@pytest.mark.parametrize("coupling", [G(1), G(1, 1)])
+def test_a_pair_whose_row_touches_a_third_row_is_eliminated(monkeypatch, perm, coupling):
+    """Rows 0 and 1 look like a block from row 0, but row 1 also touches row
+    2: [[1, 1, 0], [1, 1, k], [0, conj(k), 1]] has eigenvalues 1 and
+    1 +- |k| sqrt(2), so the triple is (1,0,2) for |k| = 1 or sqrt(2)."""
+    base = [[G(1), G(1), G(0)], [G(1), G(1), coupling], [G(0), coupling.conjugate(), G(1)]]
+    mat = [[base[perm[i]][perm[j]] for j in range(3)] for i in range(3)]
+    calls = _spy_elimination(monkeypatch)
+    got = exact_inertia(mat)
+    assert got == dense_elimination_inertia(mat) == charpoly_inertia(mat) == Inertia(1, 0, 2)
+    assert calls
+
+
+@pytest.mark.parametrize("coupled", [G(5), G(1, 1)])
+def test_two_by_two_blocks_beside_one_by_one_and_three_by_three_blocks(monkeypatch, coupled):
+    """d = 9: the 1x1 block -1 at row 0, an all-zero row 7, the blocks
+    [[2, 1], [1, 3]] on rows 1 and 5 and [[0, c], [conj(c), 0]] on rows 3 and
+    8, and the 3x3 block [[1, 1, 0], [1, 1, 1], [0, 1, 1]] on rows 2, 4 and 6;
+    the triple is (3,1,5)."""
+    mat = [[G(0)] * 9 for _ in range(9)]
+    for i, x in ((0, -1), (1, 2), (5, 3), (2, 1), (4, 1), (6, 1)):
+        mat[i][i] = G(x)
+    for i, j, x in ((1, 5, G(1)), (3, 8, coupled), (2, 4, G(1)), (4, 6, G(1))):
+        mat[i][j], mat[j][i] = x, x.conjugate()
+    assert is_exactly_hermitian(mat)
+    calls = _spy_elimination(monkeypatch)
+    got = exact_inertia(mat)
+    assert got == dense_elimination_inertia(mat) == Inertia(3, 1, 5)
+    # only the 3x3 block is eliminated: two pivots, one Schur update each
+    assert len(calls) == 2
+
+
+_small_gaussian_integers = st.builds(G, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def permuted_small_block_hermitians(draw):
+    """Integer Hermitian matrices made of blocks of size 1 to 3, over Q or
+    over Q(i), conjugated by a permutation so a block's rows need not be
+    adjacent.  Entries in -2..2 make det = 0 blocks and zero diagonals common."""
+    entries = (st.integers(-2, 2).map(G) if draw(st.booleans())
+               else _small_gaussian_integers)
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    d = sum(sizes)
+    mat = [[G(0)] * d for _ in range(d)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            mat[i][i] = G(draw(st.integers(-2, 2)))
+            for j in range(i + 1, start + size):
+                mat[i][j] = draw(entries)
+                mat[j][i] = mat[i][j].conjugate()
+        start += size
+    perm = draw(st.permutations(range(d)))
+    return [[mat[perm[i]][perm[j]] for j in range(d)] for i in range(d)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_small_block_hermitians())
+def test_permuted_small_blocks_match_both_oracles(mat):
+    assert is_exactly_hermitian(mat)
+    got = exact_inertia(mat)
+    assert got == dense_elimination_inertia(mat)
+    if len(mat) <= 6:
+        assert got == charpoly_inertia(mat)
+

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ptinertia import Inertia, build_exact, matio, pt_array
+from ptinertia.cli import main
 from ptinertia.exact import GaussianRational, exact_inertia
 
 
@@ -77,6 +78,43 @@ def test_parse_entry_forms():
     assert value == 0.75 + 0.5j
     value, exact = matio.parse_entry("-2/3j")
     assert exact == GaussianRational(0, Fraction(-2, 3))
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()  # hex() tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("token, exact", [
+    ("1/3", GaussianRational(Fraction(1, 3))),
+    ("-2/6+4/10j", GaussianRational(Fraction(-1, 3), Fraction(2, 5))),
+    (f"{10 ** 400}/{10 ** 399}", GaussianRational(10)),
+    ("-0", GaussianRational(0)),
+    ("0/5-0j", GaussianRational(0)),
+    ("7j", GaussianRational(0, 7)),
+    ("1/2j", GaussianRational(0, Fraction(1, 2))),
+])
+def test_float_view_has_the_bits_of_the_exact_values_complex(token, exact):
+    value, got = matio.parse_entry(token)
+    assert got == exact
+    assert _bits(value) == _bits(complex(got)) == _bits(complex(exact))
+
+
+def test_float_view_of_a_huge_quotient_is_correctly_rounded():
+    assert matio.parse_entry(f"{10 ** 400}/{10 ** 399}")[0] == 10.0
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse matrix entry '{10 ** 400}'")):
+        matio.parse_entry(str(10 ** 400))
+
+
+def test_a_matrix_file_byte_that_is_not_utf8_exits_2_with_the_codec_message(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1 0 0\n1\xff\n")
+    with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xff in position 7"):
+        matio.load_matrix(path)
+    assert main(["inertia", "--file", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: 'utf-8' codec can't decode byte 0xff in position 7: "
+                   "invalid start byte\n")
 
 
 def test_parse_ket_reference_literal():
