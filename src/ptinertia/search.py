@@ -7,11 +7,8 @@ sample i is fixed by the seed, the index and the ranks of the samples before
 it in its block.  Block boundaries depend only on the index, so the tally is
 deterministic and independent of chunking and worker count, and any alarming
 sample can be regenerated bit-for-bit: replay reseeds its block generator and
-skips the normals of the earlier samples in one draw.
-
-Records carry the scheme they were drawn under.  Lines written before the
-field existed are scheme 1, where sample i drew from its own generator
-seeded by (master seed, i); they still replay bit-for-bit.
+skips the normals of the earlier samples in one draw.  Record lines name
+the scheme, and a line under any other scheme, or under none, is refused.
 """
 
 from __future__ import annotations
@@ -33,8 +30,7 @@ from .states import ENSEMBLES, State, pt_array, random_state
 
 CHUNK = 2048
 BLOCK = 16  # samples per generator; divides CHUNK, so scan spans start on a block
-SEED_SCHEME = 2  # the scheme run_search draws under
-SEED_SCHEMES = (1, 2)  # the schemes replay can regenerate
+SEED_SCHEME = 2  # the scheme run_search draws under and replay regenerates
 
 
 def _as_int(field: str, value) -> int:
@@ -155,12 +151,11 @@ class SearchRecord:
     marginal: int
     alarms: list[Alarm]
     wall_time: float = 0.0
-    seed_scheme: int = SEED_SCHEME
 
     def payload(self) -> dict:
         """The worker-count-independent content of the record."""
         return {
-            "seed_scheme": self.seed_scheme,
+            "seed_scheme": SEED_SCHEME,
             "config": self.config.canonical(),
             "config_hash": self.config_hash,
             "counts": [[list(k), v] for k, v in sorted(self.counts.items())],
@@ -178,10 +173,8 @@ class SearchRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "SearchRecord":
-        """Parse one log line; malformed content raises ValueError.
-
-        A line without "seed_scheme" was written under scheme 1.
-        """
+        """Parse one log line; malformed content, or a seed_scheme other
+        than SEED_SCHEME, raises ValueError."""
         try:
             data = json.loads(line)
             conf = data["config"]
@@ -194,14 +187,14 @@ class SearchRecord:
                 raise ValueError("counts and alarms must be lists")
             counts = _counts_from_json(data["counts"], cfg, data["marginal"])
             alarms = _alarms_from_json(data["alarms"])
-            scheme = data.get("seed_scheme", 1)
+            scheme = data["seed_scheme"]
             record = cls(config=cfg, config_hash=data["config_hash"], counts=counts,
-                         marginal=data["marginal"], alarms=alarms, seed_scheme=scheme)
+                         marginal=data["marginal"], alarms=alarms)
         except KeyError as exc:
             raise ValueError(f"search record lacks key {exc}") from exc
         except TypeError as exc:
             raise ValueError(f"malformed search record: {exc}") from exc
-        if type(scheme) is not int or scheme not in SEED_SCHEMES:
+        if type(scheme) is not int or scheme != SEED_SCHEME:
             raise ValueError(f"unknown seed_scheme {scheme!r}")
         return record
 
@@ -337,19 +330,14 @@ def replay(record: SearchRecord, alarm_index: int) -> State:
     if alarm.rank != cfg.rank_for(index):
         raise ValueError(f"alarm rank {alarm.rank} is not sample {index}'s "
                          f"rank {cfg.rank_for(index)}")
-    if record.seed_scheme == 1:
-        seed_path = (cfg.seed, index)
-    elif record.seed_scheme == 2:
-        seed_path = _seed_path(cfg.seed, index)
-    else:
-        raise ValueError(f"unknown seed_scheme {record.seed_scheme!r}")
+    seed_path = _seed_path(cfg.seed, index)
     if alarm.seed_path != seed_path:
         raise ValueError(f"alarm seed_path {list(alarm.seed_path)} is not sample "
                          f"{index}'s seed_path {list(seed_path)}")
     if alarm.inertia not in record.counts:
         raise ValueError(f"alarm inertia {alarm.inertia} is not a tallied triple of the record")
-    seed = seed_path if record.seed_scheme == 1 else _block_generator(cfg, seed_path, index)
-    return random_state(cfg.m, cfg.n, alarm.rank, cfg.ensemble, seed=seed)
+    return random_state(cfg.m, cfg.n, alarm.rank, cfg.ensemble,
+                        seed=_block_generator(cfg, seed_path, index))
 
 
 def append_record(path, record: SearchRecord) -> None:

@@ -7,8 +7,9 @@ the canonical decomposable example: for every product vector
 clause follows from rho >= 0 (Peres-Horodecki).  is_witness certifies that
 clause by checking rho >= 0, exactly over Q(i) when an exact view of rho is
 given and against the float zero band otherwise.  min_product_expectation,
-a multi-restart alternating minimiser, stays as a diagnostic for an
-arbitrary W; its value is only an upper bound on the product minimum.
+a multi-restart alternating minimiser, is a diagnostic for an arbitrary W
+that decides no verdict; its value is only an upper bound on the product
+minimum.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .inertia import pt_inertia
 from .linalg import TOL_RESID, TOL_ZERO, herm_eig, max_abs, require_hermitian, zero_band
 from .states import State, partial_transpose
 
-EW_TOL = 1e-7
 DEFAULT_RESTARTS = 50
 ITER_CAP = 500
 
@@ -38,8 +38,6 @@ class Witness:
     n: int
     mat: np.ndarray
     certified: Literal["exact", "float"]
-    # the minimiser's cross-check value, when is_witness ran it
-    product_min: float | None = None
 
 
 def _random_unit(rng, dim: int) -> np.ndarray:
@@ -63,10 +61,13 @@ def min_product_expectation(w: np.ndarray, m: int, n: int,
     Each restart draws its own generator from (seed, restart index), so the
     result is deterministic and independent of evaluation order.  The value
     is an upper bound on the true minimum.  A restart stops after ITER_CAP
-    sweeps.  With restarts < 1 no product vector would be tried.
+    sweeps.  With restarts < 1 no product vector would be tried, and a
+    negative seed names no generator: either raises ValueError.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     w = np.asarray(w, dtype=complex)
     scale = require_hermitian(w)
     if w.shape != (m * n, m * n):
@@ -93,8 +94,8 @@ def min_product_expectation(w: np.ndarray, m: int, n: int,
     return best_val, best_pair
 
 
-def is_witness(state: State, tol_zero: float = TOL_ZERO, restarts: int = 0,
-               seed: int = 0, exact: ExactMatrix | None = None) -> Witness:
+def is_witness(state: State, tol_zero: float = TOL_ZERO,
+               exact: ExactMatrix | None = None) -> Witness:
     """Return the PT of a trace-normalized NPT state as a certified witness.
 
     The NPT clause needs at least one negative eigenvalue of the PT.  The
@@ -102,15 +103,9 @@ def is_witness(state: State, tol_zero: float = TOL_ZERO, restarts: int = 0,
     of the same rho, by exact_inertia(exact).neg == 0 (certified="exact");
     otherwise by lambda_min(rho) >= -zero_band(spectrum, tol_zero) on the
     trace-normalized state (certified="float").  A PPT or non-PSD input
-    raises NotAWitness.  restarts > 0 also runs min_product_expectation as a
-    cross-check and rejects a value below -EW_TOL the same way.  A negative
-    restarts or seed raises ValueError.
+    raises NotAWitness.
     """
-    for name, value in (("restarts", restarts), ("seed", seed)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
     rho = state.normalized()
-    gamma = partial_transpose(rho)
     ine = pt_inertia(state, tol_zero)
     if ine.neg < 1:
         raise NotAWitness(f"state is PPT (inertia {ine}); its PT is not a witness")
@@ -129,11 +124,4 @@ def is_witness(state: State, tol_zero: float = TOL_ZERO, restarts: int = 0,
     if not psd:
         raise NotAWitness(f"state is not PSD ({certified} check, smallest eigenvalue "
                           f"{values[0]:.3e}); its PT is not a witness")
-    product_min = None
-    if restarts > 0:
-        product_min, _ = min_product_expectation(gamma, state.m, state.n,
-                                                 restarts=restarts, seed=seed)
-        if product_min < -EW_TOL:
-            raise NotAWitness(f"product-vector minimum {product_min:.3e} below "
-                              f"-{EW_TOL:.1e}; not a witness")
-    return Witness(state.m, state.n, gamma, certified, product_min)
+    return Witness(state.m, state.n, partial_transpose(rho), certified)

@@ -242,7 +242,7 @@ def test_criterion_8_witness_properties():
     checked = 0
     for entry_id in entry_ids():
         state = build(entry_id)
-        w = is_witness(state, tol_zero=TOL, restarts=50, seed=0)
+        w = is_witness(state, tol_zero=TOL)
         ine = pt_inertia(state, TOL)
         assert ine.pos >= 3, entry_id
         assert ine.neg <= (state.m - 1) * (state.n - 1), entry_id

@@ -256,6 +256,13 @@ def test_search_and_replay_exit_codes(search_logs, capsys, argv, expected):
     (None, ["inertia", "--file", "{dir}/negative_dims.txt"]),
     (None, ["verify-ew", "--file", "{dir}/eye.txt", "--restarts", "-1"]),
     (None, ["verify-ew", "--file", "{dir}/eye.txt", "--restarts", "2", "--seed", "-1"]),
+    # an argument the catalog action would not read
+    (None, ["catalog", "verify", "arr13_i", "--all"]),
+    (None, ["catalog", "list", "arr13_i"]),
+    (None, ["catalog", "list", "--all"]),
+    (None, ["catalog", "dump", "arr13_i", "--all"]),
+    (None, ["catalog", "list", "--out", "{dir}/list.txt"]),
+    (None, ["catalog", "verify", "--out", "{dir}/verify.txt"]),
 ])
 def test_invalid_tolerances_and_entries_exit_2(tmp_path, capsys, monkeypatch, env, argv):
     matio.save_matrix(tmp_path / "eye.txt", np.eye(4), 2, 2)
@@ -297,10 +304,34 @@ def test_verify_ew_rejects_non_psd_file(tmp_path, capsys):
     # F + |Phi+><Phi+| on 2x2: NPT PT, but the matrix has eigenvalue -1
     path = tmp_path / "non_state.txt"
     path.write_text("4 2 2\n3/2 0 0 1/2\n0 0 1 0\n0 1 0 0\n1/2 0 0 3/2\n")
-    code, out, err = run(capsys, "verify-ew", "--file", str(path))
-    assert code == 1
-    assert out.splitlines() == ["inertia 1 0 3", "FAIL"]
-    assert "not PSD" in err
+    # the minimiser that --restarts runs is a diagnostic: it cannot pass this file
+    for restarts in ([], ["--restarts", "3"]):
+        code, out, err = run(capsys, "verify-ew", "--file", str(path), *restarts)
+        assert code == 1
+        assert out.splitlines() == ["inertia 1 0 3", "FAIL"]
+        assert "not PSD" in err
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--seed"])
+def test_verify_ew_checks_restarts_and_seed_before_reading_the_file(tmp_path, capsys, flag):
+    code, out, err = run(capsys, "verify-ew", "--file", str(tmp_path / "missing.txt"),
+                         flag, "-1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag[2:]} must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("scheme", [None, 1])
+def test_replay_refuses_a_line_from_before_seed_scheme_2(tmp_path, capsys, scheme):
+    log = tmp_path / "runs.log"
+    assert run(capsys, *SEARCH, "--alarm", "(3,0,6)", "--log", str(log))[0] == 0
+    data = json.loads(log.read_text())
+    del data["seed_scheme"]
+    if scheme is not None:
+        data["seed_scheme"] = scheme
+    log.write_text(json.dumps(data) + "\n")
+    code, out, err = run(capsys, "replay", "--log", str(log))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {log}, line 1: ") and err.count("\n") == 1
 
 
 def test_unknown_catalog_id_prints_the_message_without_quotes(capsys):

@@ -203,30 +203,9 @@ def test_replay_matches_drawing_each_block_in_sequence(ensemble):
     # run_search records the same seed paths
     every_triple = [Inertia(a, 9 - a - b, b) for a in range(10) for b in range(10 - a)]
     run = run_search(cfg, every_triple)
-    assert run.seed_scheme == 2 and run.payload()["seed_scheme"] == 2
+    assert run.payload()["seed_scheme"] == 2
     assert run.alarms
     assert all(a.seed_path == alarms[a.index].seed_path for a in run.alarms)
-
-
-def test_scheme_1_line_replays_its_per_sample_generator():
-    cfg = SearchConfig(m=3, n=3, ranks=(2, 3), ensemble="complex", samples=100, seed=7)
-    line = json.dumps({
-        "config": {"m": 3, "n": 3, "ranks": [2, 3], "ensemble": "complex",
-                   "samples": 100, "seed": 7, "tol_zero": 1e-9},
-        "config_hash": cfg.digest(),
-        "counts": [[[3, 0, 6], 1]],
-        "marginal": 99,
-        "alarms": [{"inertia": [3, 0, 6], "index": 42, "rank": 2, "seed_path": [7, 42]}],
-    })
-    rec = SearchRecord.from_json_line(line)
-    assert rec.seed_scheme == 1
-    want = random_state(3, 3, 2, "complex", seed=(7, 42))
-    assert np.array_equal(replay(rec, 0).mat, want.mat)
-    # the scheme survives a round trip, and an unknown one cannot replay
-    assert SearchRecord.from_json_line(rec.to_json_line()).seed_scheme == 1
-    rec.seed_scheme = 3
-    with pytest.raises(ValueError, match="seed_scheme"):
-        replay(rec, 0)
 
 
 @pytest.mark.parametrize("bad", [
@@ -238,6 +217,9 @@ def test_config_rejects_invalid_settings(bad):
     kwargs = dict(m=3, n=3, ranks=(2,), samples=10, seed=0) | bad
     with pytest.raises(ValueError):
         SearchConfig(**kwargs)
+
+
+MISSING = object()  # an edit value that deletes its key from the line
 
 
 def _good_line():
@@ -289,12 +271,15 @@ def _good_line():
     ({"counts": [[[1, 1, 3], 20]]}, "each inertia to be 3 non-negative ints summing to 4"),
     ({"counts": [[[1, 0, 3], 19]], "marginal": 0}, "counts plus marginal make 19, "
                                                    "not the record's samples 20"),
+    # a line written before the field existed, and one that names scheme 1
+    ({"seed_scheme": MISSING}, "lacks key 'seed_scheme'"),
+    ({"seed_scheme": 1}, "unknown seed_scheme 1"),
 ])
 def test_malformed_log_line_names_its_line(tmp_path, edit, message):
     good = _good_line()
     if isinstance(edit, dict):
         data = json.loads(good) | edit
-        bad = json.dumps(data)
+        bad = json.dumps({k: v for k, v in data.items() if v is not MISSING})
     else:
         bad = edit
     log = tmp_path / "runs.log"
