@@ -3,6 +3,10 @@
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or input error.  Output is line-oriented and stable across reruns;
 timing appears only on lines starting with ``# ``.
+
+The parser declares every argument each command (and each ``catalog``
+action) takes, so it refuses any other with one ``error:`` line.  A command
+raises on bad input instead of printing; ``main`` writes that one line.
 """
 
 from __future__ import annotations
@@ -64,9 +68,7 @@ def cmd_inertia(args) -> int:
     mf = matio.load_matrix(args.file)
     if args.exact:
         if mf.exact is None:
-            print("error: --exact requires a matrix file with rational entries",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--exact requires a matrix file with rational entries")
         print(_fmt(exact_inertia(mf.exact)))
         return 0
     ine, marginal = inertia_of(mf.mat, args.tol, with_flag=True)
@@ -80,9 +82,7 @@ def cmd_inertia(args) -> int:
 def cmd_pt(args) -> int:
     mf = matio.load_matrix(args.file)
     if not mf.bipartite:
-        print("error: partial transpose needs a bipartite header (m, n > 0)",
-              file=sys.stderr)
-        return 2
+        raise ValueError("partial transpose needs a bipartite header (m, n > 0)")
     gamma = pt_array(mf.mat, mf.m, mf.n)
     exact = pt_array(mf.exact, mf.m, mf.n) if mf.exact is not None else None
     _write_matrix(args.out, gamma, mf.m, mf.n, exact)
@@ -98,39 +98,28 @@ def cmd_schmidt(args) -> int:
     return 0
 
 
-# the arguments each catalog action reads; it refuses any other one
-_CATALOG_ARGS = {"list": (), "verify": ("id", "all"), "dump": ("id", "out")}
+def cmd_catalog_list(args) -> int:
+    for entry_id in catalog.entry_ids():
+        m, n = catalog.get_entry(entry_id).dims
+        print(f"{entry_id} dims={m}x{n} expected={catalog.expected_inertia(entry_id)}")
+    return 0
 
 
-def cmd_catalog(args) -> int:
-    for name in ("id", "all", "out"):
-        if getattr(args, name) and name not in _CATALOG_ARGS[args.action]:
-            what = "an entry id" if name == "id" else f"--{name}"
-            raise ValueError(f"catalog {args.action} takes no {what}")
-    if args.action == "list":
-        for entry_id in catalog.entry_ids():
-            m, n = catalog.get_entry(entry_id).dims
-            print(f"{entry_id} dims={m}x{n} expected={catalog.expected_inertia(entry_id)}")
-        return 0
-    if args.action == "verify":
-        if args.id and args.all:
-            raise ValueError("catalog verify takes an entry id or --all, not both")
-        results = [catalog.verify(args.id, args.tol)] if args.id else catalog.verify_all(args.tol)
-        for result in results:
-            exact_s = _fmt(result.exact_inertia) if result.exact_inertia else "-"
-            status = "PASS" if result.passed else "FAIL"
-            print(f"{result.entry_id} expected={_fmt(result.expected)} "
-                  f"float={_fmt(result.float_inertia)} exact={exact_s} {status}")
-        return 0 if all(result.passed for result in results) else 1
-    if args.action == "dump":
-        if not args.id:
-            print("error: catalog dump needs an entry id", file=sys.stderr)
-            return 2
-        state = catalog.build(args.id)
-        exact = catalog.build_exact(args.id)
-        _write_matrix(args.out, state.mat, state.m, state.n, exact)
-        return 0
-    raise AssertionError(f"unhandled catalog action {args.action!r}")
+def cmd_catalog_verify(args) -> int:
+    results = [catalog.verify(args.id, args.tol)] if args.id else catalog.verify_all(args.tol)
+    for result in results:
+        exact_s = _fmt(result.exact_inertia) if result.exact_inertia else "-"
+        status = "PASS" if result.passed else "FAIL"
+        print(f"{result.entry_id} expected={_fmt(result.expected)} "
+              f"float={_fmt(result.float_inertia)} exact={exact_s} {status}")
+    return 0 if all(result.passed for result in results) else 1
+
+
+def cmd_catalog_dump(args) -> int:
+    state = catalog.build(args.id)
+    exact = catalog.build_exact(args.id)
+    _write_matrix(args.out, state.mat, state.m, state.n, exact)
+    return 0
 
 
 def cmd_table(args) -> int:
@@ -156,8 +145,7 @@ def cmd_verify_ew(args) -> int:
             raise ValueError(f"{name} must be >= 0, got {getattr(args, name)}")
     mf = matio.load_matrix(args.file)
     if not mf.bipartite:
-        print("error: witness check needs a bipartite header", file=sys.stderr)
-        return 2
+        raise ValueError("witness check needs a bipartite header")
     state = State(mf.m, mf.n, mf.mat)
     inertia_line = f"inertia {_fmt(pt_inertia(state, args.tol))}"
     try:
@@ -205,18 +193,15 @@ def cmd_search(args) -> int:
 def cmd_replay(args) -> int:
     records = search.load_records(args.log)
     if not records:
-        print("error: results log is empty", file=sys.stderr)
-        return 2
+        raise ValueError("results log is empty")
     if not -len(records) <= args.record < len(records):
-        print(f"error: record index {args.record} out of range for "
-              f"{len(records)} record(s)", file=sys.stderr)
-        return 2
+        raise ValueError(f"record index {args.record} out of range for "
+                         f"{len(records)} record(s)")
     record = records[args.record]
     try:
         state = search.replay(record, args.alarm)
     except IndexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(str(exc)) from None
     if args.dump:
         # the dump goes out before the verdict, so an unwritable path prints no verdict
         matio.save_matrix(args.dump, state.mat, state.m, state.n)
@@ -226,8 +211,22 @@ def cmd_replay(args) -> int:
     return 0 if got == want else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one `error:` line and exit 2; add_subparsers passes the class on."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _rank_set(text: str) -> list[int]:
+    try:
+        return [int(r) for r in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse rank set {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptinertia",
         description="inertias of partial transposes of bipartite states",
     )
@@ -249,13 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, nargs=2, required=True)
     p.set_defaults(func=cmd_schmidt)
 
-    p = sub.add_parser("catalog", help="reference family registry")
-    p.add_argument("action", choices=["list", "verify", "dump"])
-    p.add_argument("id", nargs="?")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--out")
+    actions = sub.add_parser("catalog", help="reference family registry").add_subparsers(
+        dest="action", required=True)
+    actions.add_parser("list", help="ids, dims and expected triples").set_defaults(
+        func=cmd_catalog_list)
+    p = actions.add_parser("verify", help="verify one entry, or --all (the default)")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("id", nargs="?")
+    which.add_argument("--all", action="store_true")
     p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_catalog)
+    p.set_defaults(func=cmd_catalog_verify)
+    p = actions.add_parser("dump", help="write an entry's matrix file")
+    p.add_argument("id")
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_catalog_dump)
 
     p = sub.add_parser("table", help="realized/forbidden/open inertia report")
     p.add_argument("--dims", type=int, nargs=2, required=True)
@@ -271,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="randomized inertia search")
     p.add_argument("--dims", type=int, nargs=2, required=True)
-    p.add_argument("--ranks", type=lambda s: [int(x) for x in s.split(",")],
-                   default=[2, 3, 4, 5])
+    p.add_argument("--ranks", type=_rank_set, default=[2, 3, 4, 5])
     p.add_argument("--ensemble", choices=ENSEMBLES, default="real")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from . import catalog
 from .inertia import Inertia, embed, pt_inertia
 from .linalg import TOL_ZERO
-from .states import State
 
 FORBIDDEN_33 = {
     Inertia(2, 4, 3): "kernel of the PT contains two product basis states, "
@@ -63,12 +62,6 @@ def _universe(m: int, n: int) -> list[Inertia]:
         for pos in range(3, d - neg + 1):
             out.append(Inertia(neg, d - neg - pos, pos))
     return out
-
-
-def _verify_witness(state: State, want: Inertia, desc: str, tol_zero: float) -> None:
-    got = pt_inertia(state, tol_zero)
-    if got != want:
-        raise RuntimeError(f"witness {desc} produced {got}, expected {want}")
 
 
 def inertia_table(m: int, n: int, tol_zero: float = TOL_ZERO) -> InertiaSetReport:
@@ -114,49 +107,46 @@ class TableEdge:
     how: str
 
 
+# Table 1: each 2x3 seed's catalog id, then its edges in order.  An embedding
+# edge is (target, lift, lift_kernel); a paired edge is (target, 2x3 id, 3x3 id).
+# The (2,0,4) seed's PT has no kernel, so lifting it would change nothing.
+TABLE1 = [
+    ("pure23_r2", [((1, 5, 3), 0, False), ((1, 4, 4), 1, False), ((1, 3, 5), 2, False),
+                   ((1, 2, 6), 3, False), ((1, 1, 7), 2, True), ((1, 0, 8), 3, True)]),
+    ("arr23_xi", [((3, 0, 6), "arr23_xi", "arr13_xi")]),
+    ("arr23_xii", [((2, 3, 4), 0, False), ((2, 2, 5), 1, False), ((2, 1, 6), 2, False),
+                   ((2, 0, 7), 3, False), ((3, 1, 5), "arr23_xii", "arr13_xii"),
+                   ((4, 0, 5), "arr23_xiii", "arr13_xiii")]),
+]
+
+
 def table1_report(tol_zero: float = TOL_ZERO) -> dict[Inertia, list[TableEdge]]:
     """Mapping from 2x3 inertias to the 3x3 inertias they generate.
 
-    Three groups: (1,2,3) feeds the six v_minus=1 triples through corner
-    embeddings (with and without kernel lifting); (1,1,4) pairs with the
-    (3,0,6) family; (2,0,4) feeds the four v_minus=2 triples through
-    embeddings and pairs with the (3,1,5) and (4,0,5) families.  Every edge
-    is re-verified on the spot: an embedding edge on its embedded state, a
-    paired-family edge on the target family's catalog state.
+    Three groups (TABLE1): (1,2,3) feeds the six v_minus=1 triples through
+    corner embeddings (with and without kernel lifting); (1,1,4) pairs with
+    the (3,0,6) family; (2,0,4) feeds the four v_minus=2 triples through
+    embeddings and pairs with the (3,1,5) and (4,0,5) families.  Every seed
+    and edge is re-verified on the spot: an embedding edge on its embedded
+    state, a paired-family edge on the target family's catalog state.
     """
     groups: dict[Inertia, list[TableEdge]] = {}
-
-    def add_edge(source, state, target, how):
-        _verify_witness(state, target, how, tol_zero)
-        groups.setdefault(source, []).append(TableEdge(source, target, how))
-
-    # group (1,2,3): pure Schmidt-rank-2 seed
-    src = Inertia(1, 2, 3)
-    seed = catalog.build("pure23_r2")
-    _verify_witness(seed, src, "pure23_r2", tol_zero)
-    for lift, target in [(0, (1, 5, 3)), (1, (1, 4, 4)), (2, (1, 3, 5)), (3, (1, 2, 6))]:
-        state = embed(seed, 3, 3, lift, lift_kernel=False, tol_zero=tol_zero)
-        add_edge(src, state, Inertia(*target), f"embed(lift={lift})")
-    for lift, target in [(2, (1, 1, 7)), (3, (1, 0, 8))]:
-        state = embed(seed, 3, 3, lift, lift_kernel=True, tol_zero=tol_zero)
-        add_edge(src, state, Inertia(*target), f"embed(lift={lift}, kernel lifted)")
-
-    # group (1,1,4): paired families
-    src = Inertia(1, 1, 4)
-    _verify_witness(catalog.build("arr23_xi"), src, "arr23_xi", tol_zero)
-    add_edge(src, catalog.build("arr13_xi"), Inertia(3, 0, 6),
-             "paired family arr23_xi -> arr13_xi")
-
-    # group (2,0,4): embeddings plus paired families
-    src = Inertia(2, 0, 4)
-    seed = catalog.build("arr23_xii")
-    _verify_witness(seed, src, "arr23_xii", tol_zero)
-    for lift, target in [(0, (2, 3, 4)), (1, (2, 2, 5)), (2, (2, 1, 6)), (3, (2, 0, 7))]:
-        state = embed(seed, 3, 3, lift, tol_zero=tol_zero)
-        add_edge(src, state, Inertia(*target), f"embed(lift={lift})")
-    add_edge(src, catalog.build("arr13_xii"), Inertia(3, 1, 5),
-             "paired family arr23_xii -> arr13_xii")
-    add_edge(src, catalog.build("arr13_xiii"), Inertia(4, 0, 5),
-             "paired family arr23_xiii -> arr13_xiii")
-
+    for seed_id, edges in TABLE1:
+        seed = catalog.build(seed_id)
+        source = catalog.expected_inertia(seed_id)
+        witnesses = [(seed, source, seed_id)]
+        for target, *edge in edges:
+            if isinstance(edge[0], int):
+                lift, lift_kernel = edge
+                state = embed(seed, 3, 3, lift, lift_kernel=lift_kernel, tol_zero=tol_zero)
+                how = f"embed(lift={lift}{', kernel lifted' if lift_kernel else ''})"
+            else:
+                pair_23, pair_33 = edge
+                state, how = catalog.build(pair_33), f"paired family {pair_23} -> {pair_33}"
+            witnesses.append((state, Inertia(*target), how))
+        for state, want, how in witnesses:
+            got = pt_inertia(state, tol_zero)
+            if got != want:
+                raise RuntimeError(f"witness {how} produced {got}, expected {want}")
+        groups[source] = [TableEdge(source, want, how) for _, want, how in witnesses[1:]]
     return groups

@@ -231,7 +231,7 @@ SEARCH = ["search", "--dims", "3", "3", "--ranks", "2,3", "--samples", "50"]
 def test_search_and_replay_exit_codes(search_logs, capsys, argv, expected):
     code, _, err = run(capsys, *(a.format(dir=search_logs) for a in argv))
     assert code == expected
-    if expected == 2 and "gaussian" not in argv:  # argparse prints its own usage
+    if expected == 2:
         # one line of diagnosis, never a traceback
         assert err.startswith("error:") and err.count("\n") == 1
 
@@ -263,6 +263,11 @@ def test_search_and_replay_exit_codes(search_logs, capsys, argv, expected):
     (None, ["catalog", "dump", "arr13_i", "--all"]),
     (None, ["catalog", "list", "--out", "{dir}/list.txt"]),
     (None, ["catalog", "verify", "--out", "{dir}/verify.txt"]),
+    (None, ["catalog", "list", "--tol", "1e-3"]),
+    (None, ["catalog", "dump", "arr13_i", "--tol", "0.5"]),
+    (None, ["catalog", "dump"]),
+    (None, ["catalog"]),
+    (None, ["search", "--dims", "3", "3", "--ranks", "2,x"]),
 ])
 def test_invalid_tolerances_and_entries_exit_2(tmp_path, capsys, monkeypatch, env, argv):
     matio.save_matrix(tmp_path / "eye.txt", np.eye(4), 2, 2)

@@ -69,6 +69,17 @@ def test_table1_groups():
     assert g204 == [(2, 3, 4), (2, 2, 5), (2, 1, 6), (2, 0, 7), (3, 1, 5), (4, 0, 5)]
     union = {t for edges in groups.values() for t in (tuple(e.target) for e in edges)}
     assert union == THIRTEEN
+    how = {tuple(e.target): e.how for edges in groups.values() for e in edges}
+    assert how == {
+        (1, 5, 3): "embed(lift=0)", (1, 4, 4): "embed(lift=1)",
+        (1, 3, 5): "embed(lift=2)", (1, 2, 6): "embed(lift=3)",
+        (1, 1, 7): "embed(lift=2, kernel lifted)", (1, 0, 8): "embed(lift=3, kernel lifted)",
+        (3, 0, 6): "paired family arr23_xi -> arr13_xi",
+        (2, 3, 4): "embed(lift=0)", (2, 2, 5): "embed(lift=1)",
+        (2, 1, 6): "embed(lift=2)", (2, 0, 7): "embed(lift=3)",
+        (3, 1, 5): "paired family arr23_xii -> arr13_xii",
+        (4, 0, 5): "paired family arr23_xiii -> arr13_xiii",
+    }
 
 
 @pytest.mark.parametrize("edit, fault", [
