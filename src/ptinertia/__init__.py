@@ -13,7 +13,7 @@ from .states import (SchmidtDecomposition, State, dm_from_kets, ket_vector,
                      validate_state)
 from .inertia import (classify_ppt, embed, inertia_of, negativity, pt_inertia,
                       pure_inertia, rank_one_update_check, shift_identity)
-from .exact import GaussianRational, exact_inertia
+from .exact import ExactMatrix, GaussianRational, exact_inertia
 from .catalog import (build, build_exact, chain_seed, entry_ids,
                       ex11_closed_form, lemma3n_family, verify, verify_all)
 from .tables import inertia_table, table1_report
@@ -21,8 +21,9 @@ from .witness import Witness, is_witness, min_product_expectation
 from .search import Alarm, SearchConfig, SearchRecord, replay, run_search
 
 __all__ = [
-    "Alarm", "GaussianRational", "Inertia", "SchmidtDecomposition",
-    "SearchConfig", "SearchRecord", "State", "TOL_ZERO", "Witness",
+    "Alarm", "ExactMatrix", "GaussianRational", "Inertia",
+    "SchmidtDecomposition", "SearchConfig", "SearchRecord", "State",
+    "TOL_ZERO", "Witness",
     "build", "build_exact", "chain_seed", "classify_ppt", "dm_from_kets",
     "embed", "entry_ids", "ex11_closed_form", "exact_inertia", "herm_eig",
     "inertia_of", "inertia_table", "is_witness", "ket_vector",

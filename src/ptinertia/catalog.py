@@ -6,8 +6,8 @@ The float build makes each ket with states.ket_vector.  The exact one is an
 ExactMatrix, whose PT is the same states.pt_array the float route takes: it
 reads each ket's terms into a map of its support and adds each weighted
 projector there, as Gaussian-integer numerators over one common denominator
-fixed before the sum, with one GaussianRational made per nonzero cell at the
-end.  Parameters must be numbers with a finite complex value.
+fixed before the sum, which go straight into the ExactMatrix's two arrays.
+Parameters must be numbers with a finite complex value.
 verify() recomputes the inertia through both routes and compares against the
 entry's expected rule; a handful of families whose conventional printed forms
 do not reproduce their advertised inertia are realized through verified
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import ExactMatrix, GaussianRational, exact_inertia
+from .exact import ExactMatrix, GaussianRational, exact_inertia, int_array
 from .inertia import Inertia, pt_inertia
 from .linalg import TOL_ZERO, herm_eig, spectrum_inertia
 from .states import State, dm_from_kets, ket_vector, pt_array
@@ -474,7 +474,8 @@ def build_exact(entry_id: str, **overrides) -> ExactMatrix | None:
     amp_den = math.lcm(*(part.denominator for _, support in kets
                          for x in support.values() for part in (x.re, x.im)))
     weight_den = math.lcm(*(w.re.denominator for w, _ in kets))
-    acc: dict[tuple[int, int], list[int]] = {}
+    d = m * n
+    acc: dict[int, list[int]] = {}  # cell r * d + c: [re, im]
     for w, support in kets:
         factor = w.re.numerator * (weight_den // w.re.denominator)
         ints = [(k, x.re.numerator * (amp_den // x.re.denominator),
@@ -482,15 +483,14 @@ def build_exact(entry_id: str, **overrides) -> ExactMatrix | None:
         for r, ar, ai in ints:
             for c, br, bi in ints:
                 # a conj(b) = (a_r b_r + a_i b_i) + i (a_i b_r - a_r b_i)
-                cell = acc.setdefault((r, c), [0, 0])
+                cell = acc.setdefault(r * d + c, [0, 0])
                 cell[0] += factor * (ar * br + ai * bi)
                 cell[1] += factor * (ai * br - ar * bi)
-    den = amp_den * amp_den * weight_den
-    rho = np.full((m * n, m * n), GaussianRational(), dtype=object)
-    for (r, c), (re, im) in acc.items():
-        if re or im:
-            rho[r, c] = GaussianRational(Fraction(re, den), Fraction(im, den))
-    return rho
+    values = int_array([v for cell in acc.values() for v in cell])
+    parts = np.zeros((2, d * d), dtype=values.dtype)
+    parts[:, list(acc)] = values.reshape(-1, 2).T
+    return ExactMatrix(parts[0].reshape(d, d), parts[1].reshape(d, d),
+                       amp_den * amp_den * weight_den)
 
 
 def expected_inertia(entry_id: str, **overrides) -> Inertia:

@@ -1,45 +1,48 @@
 """Exact Gaussian-rational arithmetic and a certified inertia computation.
 
-Matrices with entries in Q(i) admit an exact signature via symmetric Gaussian
-elimination with 1x1 diagonal pivots: every congruence step is performed
-over the rationals, so the resulting triple carries no floating
-point uncertainty.  This is the certification path backing the float
-eigenvalue route.  The elimination holds each row as a dict of its nonzero
-entries and does arithmetic only where both factors of an update are
-nonzero, so a sparse partial transpose (the chain-family witnesses have a
-few percent nonzeros) costs a fraction of a dense one of the same size.
-A row whose only nonzero is its diagonal is a 1x1 block, settled by its
-sign before the elimination starts.  So are 2x2 blocks: rows i and j whose
-nonzeros all lie in columns i and j hold [[a, b], [conj(b), c]], and by
-Sylvester's law det = a c - |b|^2 < 0 gives one negative and one positive
-eigenvalue, det > 0 two of the sign of a, and det = 0 one zero and one of
-the sign of a (a != 0 there, as a c = |b|^2 > 0).  Every sign is read from
-a numerator.
-A matrix whose entries are all real (every partial transpose of a real
-state, including the integer-Wishart and dyadic chain-family ones) is
-eliminated over Q instead: its rows hold the entries' real parts as plain
-Fractions.  Q is a subfield of Q(i) closed under the same + - * / and
-conjugation (the identity there), so the congruence steps, and with them
-the triple, are the ones the Q(i) elimination would take, at a fraction of
-the cost of GaussianRational arithmetic.
+An exact matrix (ExactMatrix) is a square matrix over Q(i) held as two
+Gaussian-integer numerator arrays over one positive int: cell (i, j) is
+(re[i, j] + i im[i, j]) / den.  Each array is int64 while its values lie
+below 2^62 in magnitude, and otherwise an object array of Python ints
+(int_array).  states.pt_array transposes both arrays, and
+``.astype(complex)`` is the float view, each part correctly rounded.
+catalog.build_exact and matio.loads_matrix make one from integers, with no
+GaussianRational per cell; as_exact_matrix reads nested lists or object
+arrays of GaussianRational, int or Fraction cells into one.  No zero band is
+needed here; the float one is linalg.zero_band.
 
-An exact matrix (ExactMatrix) is a numpy ``dtype=object`` array of
-GaussianRational, so numpy's own operations serve it: states.pt_array is its
-partial transpose, ``.astype(complex)`` is its float view.  catalog.build_exact
-sums its weighted projectors as Gaussian-integer numerators over one common
-denominator and makes a GaussianRational only for each nonzero cell, since
-every GaussianRational operation normalises its Fractions by a gcd.  No zero
-band is needed here; the float one is linalg.zero_band.
+exact_inertia gives the signature by symmetric Gaussian elimination with 1x1
+diagonal pivots: every congruence step is performed over the rationals, so
+the resulting triple carries no floating point uncertainty.  This is the
+certification path backing the float eigenvalue route.  It works on den * A,
+the numerators, which has A's inertia as den > 0.  numpy finds the nonzero
+cells and checks Hermiticity, and blocks are settled by signs read from
+Python ints before any elimination.  A row whose only nonzero is its
+diagonal is a 1x1 block, counted by its sign.  Rows i and j whose nonzeros
+all lie in columns i and j hold [[a, b], [conj(b), c]], and by Sylvester's
+law det = a c - |b|^2 < 0 gives one negative and one positive eigenvalue,
+det > 0 two of the sign of a, and det = 0 one zero and one of the sign of a
+(a != 0 there, as a c = |b|^2 > 0).
+Only the rows left get dicts of their nonzero entries, and the elimination
+does arithmetic only where both factors of an update are nonzero, so a
+sparse partial transpose (the chain-family witnesses have a few percent
+nonzeros) costs a fraction of a dense one of the same size.  When none of
+their entries has an imaginary part (every partial transpose of a real
+state, including the integer-Wishart and dyadic chain-family ones) they are
+eliminated over Q instead: the rows hold plain Fractions.  Q is a subfield
+of Q(i) closed under the same + - * / and conjugation (the identity there),
+so the congruence steps, and with them the triple, are the ones the Q(i)
+elimination would take, at a fraction of the cost of GaussianRational
+arithmetic.
 
 GaussianRational values are immutable: arithmetic returns new objects and
-nothing assigns to ``re`` or ``im`` after construction.  Cells of an exact
-matrix may therefore share one object (matio.loads_matrix gives every
-occurrence of a token the same value; catalog.build_exact fills every zero
-cell, including the complement of the kets' supports, with one zero).
+nothing assigns to ``re`` or ``im`` after construction, so elimination rows
+may share them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -134,61 +137,118 @@ class GaussianRational:
         return f"GaussianRational({self.re}, {self.im})"
 
     def __str__(self) -> str:
-        # "p/q+r/sj" from the integer parts, as matio.parse_entry reads it; most
-        # cells of a sparse PT are zero, and a zero needs none of them
+        # most cells of a sparse PT are zero, and a zero needs no integer part
         if not (self.re or self.im):
             return "0+0j"
-        a, b = self.re.numerator, self.re.denominator
-        c, d = self.im.numerator, self.im.denominator
-        re_s = f"{a}" if b == 1 else f"{a}/{b}"
-        return f"{re_s}{c:+d}j" if d == 1 else f"{re_s}{c:+d}/{d}j"
+        return entry_token(self.re.numerator, self.re.denominator,
+                           self.im.numerator, self.im.denominator)
 
 
-# A square numpy array of dtype=object holding GaussianRational entries.
-ExactMatrix = np.ndarray
+def entry_token(p: int, q: int, r: int, s: int) -> str:
+    """The matrix-file token "p/q+r/sj" of p/q + (r/s) i, both in lowest
+    terms with q, s > 0, as matio.parse_entry reads it; a "/1" is left out,
+    and a zero is "0+0j"."""
+    if not (p or r):
+        return "0+0j"
+    re_s = f"{p}" if q == 1 else f"{p}/{q}"
+    return f"{re_s}{r:+d}j" if s == 1 else f"{re_s}{r:+d}/{s}j"
 
 
-def _sparse_rows(mat) -> list[dict[int, GaussianRational | Fraction]]:
-    """Row i of a square Hermitian mat as {j: entry} over its nonzero entries.
+_NOT_HERMITIAN = "exact_inertia requires an exactly Hermitian matrix"
+# numerators below this in magnitude are held as int64, so negating one
+# stays in range
+_INT64_LIMIT = 2 ** 62
+# an int64 numerator and a den up to this are exact as floats, so numpy's
+# division of them is correctly rounded
+_FLOAT_EXACT = 2 ** 53
 
-    The entries are GaussianRational, or their real parts as Fractions when
-    no entry of mat has a nonzero imaginary part.
+
+def int_array(values: list[int]) -> np.ndarray:
+    """A list of Python ints as a 1-D int64 array when every one lies below 2^62 in
+    magnitude, else as an object array of the ints themselves."""
+    if values and (max(values) >= _INT64_LIMIT or min(values) <= -_INT64_LIMIT):
+        return np.array(values, dtype=object)
+    return np.array(values, dtype=np.int64)
+
+
+class ExactMatrix:
+    """A square matrix over Q(i): cell (i, j) is (re[i, j] + i im[i, j]) / den.
+
+    ``re`` and ``im`` are square integer arrays of one shape (int_array's
+    dtypes) and ``den`` is a positive int.
     """
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re: np.ndarray, im: np.ndarray, den: int):
+        self.re, self.im, self.den = re, im, den
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.re.shape
+
+    def __len__(self) -> int:
+        return len(self.re)
+
+    def astype(self, dtype) -> np.ndarray:
+        """The float view; only complex is offered.  Each part is correctly
+        rounded, as complex() of the cell's GaussianRational is: numpy divides
+        where the numerators and den are exact as floats, and Python's int / int
+        divides the nonzero cells elsewhere."""
+        if np.dtype(dtype) != np.complex128:
+            raise TypeError(f"an ExactMatrix has a complex float view only, not {dtype!r}")
+        out = np.zeros(self.shape, dtype=complex)
+        for part, view in ((self.re, out.real), (self.im, out.imag)):
+            if (part.dtype == object or self.den > _FLOAT_EXACT
+                    or np.abs(part).max(initial=0) > _FLOAT_EXACT):
+                nonzero = np.nonzero(part)
+                view[nonzero] = [v / self.den for v in part[nonzero].tolist()]
+            else:
+                view[...] = part / self.den
+        return out
+
+
+def as_exact_matrix(mat) -> ExactMatrix:
+    """mat as an ExactMatrix: one is returned as it is, and nested lists or a
+    2-D numpy array of GaussianRational, int or Fraction cells are read over
+    the lcm of their denominators.  A float cell raises TypeError; a ragged,
+    non-square or not 2-D input raises ValueError."""
+    if isinstance(mat, ExactMatrix):
+        return mat
     if isinstance(mat, np.ndarray):
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("exact_inertia requires an exactly Hermitian matrix")
+            raise ValueError(_NOT_HERMITIAN)
         cells = mat.tolist()
     else:
         cells = mat
         if any(len(row) != len(cells) for row in cells):
-            raise ValueError("exact_inertia requires an exactly Hermitian matrix")
-    coerce = GaussianRational.coerce
-    zero = None  # exact matrices share one zero object; skip it by identity
-    rows, real_rows = [], []
-    imaginary = False
+            raise ValueError(_NOT_HERMITIAN)
+    parts = []
     for row in cells:
-        nonzeros, reals = {}, {}
-        for j, x in enumerate(row):
-            if x is zero:
-                continue
-            if x:
-                x = nonzeros[j] = coerce(x)
-                reals[j] = x.re
-                if x.im:
-                    imaginary = True
-            else:
-                coerce(x)  # a float zero is rejected like any float
-                zero = x
-        rows.append(nonzeros)
-        real_rows.append(reals)
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            y = rows[j].get(i)
-            if y is x and not x.im:
-                continue  # a shared real entry is its own conjugate
-            if y is None or x.re != y.re or x.im != -y.im:
-                raise ValueError("exact_inertia requires an exactly Hermitian matrix")
-    return rows if imaginary else real_rows
+        for x in row:
+            x = x if type(x) is GaussianRational else GaussianRational.coerce(x)
+            parts += (x.re, x.im)
+    den = math.lcm(*{p.denominator for p in parts})
+    nums = int_array([p.numerator * (den // p.denominator) for p in parts])
+    nums = nums.reshape(len(cells), len(cells), 2)
+    return ExactMatrix(nums[..., 0], nums[..., 1], den)
+
+
+def _nonzero_rows(em: ExactMatrix) -> tuple[list[dict[int, int]], list[int], list[int]]:
+    """Row i of em as {j: k} over its nonzero cells, with k the cell's place
+    in the re and im numerator lists that come with it, once em is checked
+    to be exactly Hermitian."""
+    re, im = em.re, em.im
+    rr, cc = np.nonzero(re | im)  # an int | int is 0 only when both are
+    re_v, im_v = re[rr, cc].tolist(), im[rr, cc].tolist()
+    # a_ij = conj(a_ji) on every nonzero cell: the mirror of a zero cell is
+    # then zero too, and a diagonal cell is real
+    if re_v != re[cc, rr].tolist() or im_v != (-im[cc, rr]).tolist():
+        raise ValueError(_NOT_HERMITIAN)
+    rows: list[dict[int, int]] = [{} for _ in range(len(em))]
+    for k, (i, j) in enumerate(zip(rr.tolist(), cc.tolist())):
+        rows[i][j] = k
+    return rows, re_v, im_v
 
 
 def _sub_scaled(row: dict, coeff: GaussianRational | Fraction, other: dict) -> None:
@@ -212,15 +272,6 @@ def _positive(x: GaussianRational | Fraction) -> bool:
     return (x if type(x) is Fraction else x.re).numerator > 0
 
 
-def _real(x: GaussianRational | Fraction | int) -> Fraction | int:
-    """The real part of a diagonal entry, or of an absent one (0)."""
-    return x.re if type(x) is GaussianRational else x
-
-
-def _abs2(x: GaussianRational | Fraction) -> Fraction:
-    return x * x if type(x) is Fraction else x.abs2()
-
-
 def _partner(i: int, row: dict) -> int | None:
     """j when row i's keys are {j} or {i, j} for one j != i, else None."""
     if len(row) == 1:
@@ -232,68 +283,91 @@ def _partner(i: int, row: dict) -> int | None:
     return None
 
 
-def exact_inertia(mat) -> Inertia:
-    """Signature of an exactly Hermitian matrix over Q(i).
-
-    `mat` is an ExactMatrix or nested lists of GaussianRational, int or
-    Fraction entries.  Symmetric Gaussian elimination with 1x1 diagonal
-    pivots: a nonzero diagonal entry contributes its sign.  If the whole
-    active diagonal vanishes, row p (the one with the fewest nonzeros) has
-    a = a_pq != 0, and e_p -> e_p + conj(a) e_q makes a_pp = 2|a|^2 > 0.
-    Each step is a congruence, so Sylvester's law makes the tally exact.
-
-    The elimination is sparse: row i is a dict {j: a_ij} of its nonzero
-    entries, an update only touches entries where both of its factors are
-    nonzero, and an entry that cancels to an exact zero is deleted.  A row
-    that empties is done: it is one zero eigenvalue.  A row whose only
-    nonzero is its diagonal (its column is then empty too) is a 1x1 block:
-    its sign is counted before the elimination starts and it never enters
-    the pivot scan.  Rows i and j whose keys both lie in {i, j} are a 2x2
-    block, counted the same way from a = a_ii, c = a_jj (0 when absent) and
-    det = a c - |a_ij|^2: det < 0 is one negative and one positive, det > 0
-    two of the sign of a, det = 0 one zero and one of the sign of a.  A row
-    that also touches a third row stays in the elimination.  The pivot is
-    the nonzero diagonal entry whose row has the fewest nonzeros, which
-    limits fill-in; Sylvester's law makes the triple independent of that
-    order.
-
-    When no entry has a nonzero imaginary part the rows hold Fractions and
-    the same loop runs over Q, which gives the Q(i) triple (see the module
-    docstring): + - * /, conjugate() and bool() mean the same on Fraction
-    and GaussianRational.  A single imaginary entry keeps the whole matrix
-    on GaussianRational.  A diagonal entry is real, and its sign is read
-    from the numerator of the Fraction or of its ``re``.
-    """
-    rows = _sparse_rows(mat)
+def _settle_blocks(rows, re_v, im_v) -> tuple[int, int, list[int]]:
+    """(neg, pos) over the 1x1 and 2x2 blocks of _nonzero_rows' rows, and
+    the other nonzero rows, left to the elimination."""
     neg = pos = 0
-    active = set()
+    left = []
     for i, row in enumerate(rows):
         if not row:
             continue
         if len(row) == 1 and i in row:
-            # a 1x1 block: _sparse_rows checked Hermiticity, so its column is empty too
-            if _positive(row[i]):
+            # a 1x1 block: Hermiticity empties its column too
+            if re_v[row[i]] > 0:
                 pos += 1
             else:
                 neg += 1
             continue
         j = _partner(i, row)
         if j is None or _partner(j, rows[j]) != i:
-            active.add(i)
+            left.append(i)
         elif i < j:
             # a 2x2 block [[a, b], [conj(b), c]]; Hermiticity empties its columns too
-            a, c = _real(row.get(i, 0)), _real(rows[j].get(j, 0))
-            det = a * c - _abs2(row[j])
-            if det.numerator < 0:
+            a = re_v[row[i]] if i in row else 0
+            c = re_v[rows[j][j]] if j in rows[j] else 0
+            b = row[j]
+            det = a * c - re_v[b] * re_v[b] - im_v[b] * im_v[b]
+            if det < 0:
                 neg += 1
                 pos += 1
             else:
                 # a c >= |b|^2 > 0, so a != 0: two of its sign, one if det = 0
-                k = 2 if det.numerator else 1
-                if a.numerator > 0:
+                k = 2 if det else 1
+                if a > 0:
                     pos += k
                 else:
                     neg += k
+    return neg, pos, left
+
+
+def _elimination_rows(rows, left, re_v, im_v) -> dict[int, dict]:
+    """Row i in `left` as {j: numerator}: Fractions when no entry of these
+    rows has an imaginary part, else GaussianRationals."""
+    if any(im_v[k] for i in left for k in rows[i].values()):
+        return {i: {j: GaussianRational(re_v[k], im_v[k]) for j, k in rows[i].items()}
+                for i in left}
+    return {i: {j: Fraction(re_v[k]) for j, k in rows[i].items()} for i in left}
+
+
+def exact_inertia(mat) -> Inertia:
+    """Signature of an exactly Hermitian matrix over Q(i).
+
+    `mat` is an ExactMatrix, or nested lists or an object array of
+    GaussianRational, int or Fraction entries (as_exact_matrix).  It works
+    on the numerators den * A.  Symmetric Gaussian elimination with 1x1
+    diagonal pivots: a nonzero diagonal entry contributes its sign.  If the
+    whole active diagonal vanishes, row p (the one with the fewest nonzeros)
+    has a = a_pq != 0, and e_p -> e_p + conj(a) e_q makes a_pp = 2|a|^2 > 0.
+    Each step is a congruence, so Sylvester's law makes the tally exact.
+
+    First the blocks: a row whose only nonzero is its diagonal (its column
+    is then empty too) is a 1x1 block, counted by its sign.  Rows i and j
+    whose nonzeros all lie in columns i and j are a 2x2 block, counted from
+    a = a_ii, c = a_jj (0 when absent) and det = a c - |a_ij|^2 in Python
+    ints: det < 0 is one negative and one positive, det > 0 two of the sign
+    of a, det = 0 one zero and one of the sign of a.  A row that also
+    touches a third row stays in the elimination, and an empty row is one
+    zero eigenvalue.
+
+    The elimination is sparse: row i is a dict {j: a_ij} of its nonzero
+    entries, an update only touches entries where both of its factors are
+    nonzero, and an entry that cancels to an exact zero is deleted.  A row
+    that empties is done: it is one zero eigenvalue.  The pivot is the
+    nonzero diagonal entry whose row has the fewest nonzeros, which limits
+    fill-in; Sylvester's law makes the triple independent of that order.
+
+    When no entry of the rows left has a nonzero imaginary part the rows
+    hold Fractions and the same loop runs over Q, which gives the Q(i)
+    triple (see the module docstring): + - * /, conjugate() and bool() mean
+    the same on Fraction and GaussianRational.  A diagonal entry is real,
+    and its sign is read from the numerator of the Fraction or of its
+    ``re``.
+    """
+    em = as_exact_matrix(mat)
+    cells, re_v, im_v = _nonzero_rows(em)
+    neg, pos, left = _settle_blocks(cells, re_v, im_v)
+    rows = _elimination_rows(cells, left, re_v, im_v)
+    active = set(left)
     while active:
         pivot = min((p for p in active if p in rows[p]), key=lambda p: len(rows[p]),
                     default=None)
@@ -327,4 +401,4 @@ def exact_inertia(mat) -> Inertia:
             _sub_scaled(ri, a_pi.conjugate() / d, prow)
             if not ri:
                 active.discard(i)
-    return Inertia(neg, len(rows) - neg - pos, pos)
+    return Inertia(neg, len(em) - neg - pos, pos)

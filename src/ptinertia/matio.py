@@ -3,45 +3,60 @@
 Matrix file format: one header line ``dim m n`` (three integers, with
 ``m, n > 0`` and ``m*n == dim``; ``m = n = 0`` marks a matrix without
 bipartite structure), followed by ``dim`` rows of ``dim`` whitespace-separated
-entries.  An entry is either a decimal complex token ``re+imj`` or an exact
-rational token ``p/q+r/sj``; ``nan``, ``inf``, zero-denominator entries and
-rationals too large for a float are rejected.  Files whose every entry is
-rational also carry an exact view, an ExactMatrix (object array of
-GaussianRational), for the exact inertia path; dumps_matrix also takes nested
-lists for it.  A ket literal's coefficients are entry tokens too, read by the
-same parse_entry, which builds both views of a rational token from its
-integers: each exact part as a Fraction, and the float view as
-complex(p / q, r / s), whose correctly rounded int quotients have the bits
-of the exact value's complex().  load_matrix reads a file as bytes and
-decodes it as UTF-8.
+entries.  An entry token is written in ASCII, in one of two forms:
+
+- an exact rational ``p/q+r/sj``: ``p``, ``q``, ``r``, ``s`` are runs of
+  digits, ``p`` may carry a sign and ``r`` must, each ``/q`` or ``/s`` may be
+  left out, and so may the imaginary part; ``p/qj`` is a pure imaginary;
+- a decimal ``re+imj``, each part digits with an optional point and signed
+  exponent (``1.5``, ``.5``, ``2.5E+2``) or ``inf``, ``infinity``, ``nan``
+  in any case, ``j`` or ``J`` closing the imaginary part, which may be a lone
+  ``j``, and either part may be left out.
+
+So ``1_0``, ``(1+2j)`` and non-ASCII digits are not entries.  ``nan``,
+``inf``, zero-denominator entries and rationals too large for a float are
+rejected.  Files whose every entry is rational also carry an exact view, an
+ExactMatrix (Gaussian-integer numerators over one denominator), for the exact
+inertia path.  A ket literal's coefficients are entry tokens too, read by
+the same parse_entry.  Both views of a rational token come from its
+integers: the float view is complex(p / q, r / s), whose correctly rounded
+int quotients have the bits of the exact value's complex().  load_matrix
+reads a file as bytes and decodes it as UTF-8.
 
 loads_matrix costs time per distinct token, not per cell: one dict pass
-over the cells records the first cell of each distinct token, so the tokens
-come in order of first appearance and a token's number is the rank of its
-first cell.  Each distinct token is parsed once, and both views are filled
-by indexing the parsed values with one array of token numbers, so the cells
-holding one token share one GaussianRational.  Of
-several faults in a file the first in reading order is reported: a row of
-the wrong length after every token of the rows above it is checked, a
-non-finite token at the row and column where it first appears.
+over the cells numbers each distinct token in order of first appearance.
+Each distinct token is parsed once, to its float value and, for
+a rational, its integers in lowest terms.  Both views are filled by indexing
+per-token arrays with one array of token numbers: the complex values, and
+the numerators over the lcm of every denominator, with no Fraction or
+GaussianRational per token.  Of several faults in a file the first in
+reading order is reported: a row of the wrong length after every token of
+the rows above it is checked, a non-finite token at the row and column where
+it first appears.  dumps_matrix writes an ExactMatrix cell as its numerators
+over the denominator, each part reduced by a gcd, the text
+str(GaussianRational) gives for the same value.
 """
 
 from __future__ import annotations
 
 import cmath
 import io
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain
 
 import numpy as np
 
-from .exact import ExactMatrix, GaussianRational
+from .exact import ExactMatrix, GaussianRational, entry_token, int_array
 
 # groups: numerator, then denominator or None, of each rational part
-_RAT_FULL = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?j)?$")
-_RAT_IMAG = re.compile(r"^([+-]?\d+)(?:/(\d+))?j$")
+_RAT_FULL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?:([+-][0-9]+)(?:/([0-9]+))?j)?")
+_RAT_IMAG = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?j")
+_DEC_PART = r"(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)"
+_DECIMAL = re.compile(rf"[+-]?{_DEC_PART}(?:[+-]{_DEC_PART}?j)?|[+-]?{_DEC_PART}?j",
+                      re.ASCII | re.IGNORECASE)
 
 # a coefficient holds no + or - except the sign of an exponent (1e-3, 2.5E+2)
 _KET_TERM = re.compile(
@@ -63,13 +78,33 @@ class MatrixFile:
 
 
 def _ints(num: str | None, den: str | None) -> tuple[int, int]:
-    """Numerator and denominator of one rational part; an absent part is 0/1."""
-    return (int(num), int(den) if den else 1) if num else (0, 1)
+    """One rational part in lowest terms; an absent part is 0/1."""
+    if not num:
+        return 0, 1
+    num, den = int(num), int(den) if den else 1
+    g = math.gcd(num, den)
+    return (num // g, den // g) if g > 1 else (num, den)
 
 
-def _fraction(num: int, den: int) -> Fraction:
-    # Fraction(n) skips the gcd of Fraction(n, d)
-    return Fraction(num, den) if den != 1 else Fraction(num)
+def _parse(token: str) -> tuple[complex, tuple[int, int, int, int] | None]:
+    """(float value, (p, q, r, s) of a rational token p/q + (r/s) i in lowest
+    terms, or None for a decimal one)."""
+    if match := _RAT_FULL.fullmatch(token):
+        p, q, r, s = match.groups()
+    elif match := _RAT_IMAG.fullmatch(token):
+        p = q = None
+        r, s = match.groups()
+    elif _DECIMAL.fullmatch(token):
+        return complex(token), None
+    else:
+        raise ValueError(f"cannot parse matrix entry {token!r}")
+    try:
+        (p, q), (r, s) = _ints(p, q), _ints(r, s)
+        return complex(p / q, r / s), (p, q, r, s)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        # ValueError: int()'s digit limit; OverflowError: a rational too
+        # large for its float view
+        raise ValueError(f"cannot parse matrix entry {token!r}") from exc
 
 
 def parse_entry(token: str) -> tuple[complex, GaussianRational | None]:
@@ -79,21 +114,11 @@ def parse_entry(token: str) -> tuple[complex, GaussianRational | None]:
     int true division is correctly rounded, so it has the bits of the
     exact value's complex().
     """
-    try:
-        match = _RAT_FULL.match(token)
-        if match:
-            p, q, r, s = match.groups()
-        else:
-            match = _RAT_IMAG.match(token)
-            if not match:
-                return complex(token), None
-            p = q = None
-            r, s = match.groups()
-        (p, q), (r, s) = _ints(p, q), _ints(r, s)
-        return complex(p / q, r / s), GaussianRational(_fraction(p, q), _fraction(r, s))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        # OverflowError: a rational too large for its float view
-        raise ValueError(f"cannot parse matrix entry {token!r}") from exc
+    value, ints = _parse(token)
+    if ints is None:
+        return value, None
+    p, q, r, s = ints
+    return value, GaussianRational(Fraction(p, q), Fraction(r, s))
 
 
 def format_complex(z: complex) -> str:
@@ -103,6 +128,14 @@ def format_complex(z: complex) -> str:
     if not im_s.startswith("-"):
         im_s = "+" + im_s
     return f"{re_s}{im_s}j"
+
+
+class _Numbering(dict):
+    """Numbers each token in order of first appearance as it is looked up."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = number = len(self)
+        return number
 
 
 def loads_matrix(text: str) -> MatrixFile:
@@ -127,29 +160,28 @@ def loads_matrix(text: str) -> MatrixFile:
     rows = [line.split() for line in lines[1:]]
     # a short or long row is reported only after the tokens of the rows above it
     bad = next((i for i, row in enumerate(rows) if len(row) != dim), None)
-    # first maps each distinct token, in reading order, to the first cell that
-    # holds it; first_cell[c] is that cell for the token in cell c
-    first: dict[str, int] = {}
-    first_cell = np.fromiter(map(first.setdefault, chain.from_iterable(rows[:bad]), count()),
-                             dtype=np.intp, count=dim * (dim if bad is None else bad))
+    # index[c] is the number of the token in cell c
+    numbers = _Numbering()
+    index = np.fromiter(map(numbers.__getitem__, chain.from_iterable(rows[:bad])),
+                        dtype=np.intp, count=dim * (dim if bad is None else bad))
     parsed = []
-    for tok, c in first.items():
-        views = parse_entry(tok)
+    for tok in numbers:
+        views = _parse(tok)
         if not cmath.isfinite(views[0]):
-            i, j = divmod(c, dim)
+            i, j = divmod(int(np.argmax(index == len(parsed))), dim)
             raise ValueError(f"row {i}, column {j}: non-finite entry {tok!r}")
         parsed.append(views)
     if bad is not None:
         raise ValueError(f"row {bad} has {len(rows[bad])} entries, expected {dim}")
-    # first cells increase in reading order, so a token's number is the rank
-    # of its first cell among them
-    firsts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    index = np.searchsorted(firsts, first_cell).reshape(dim, dim)
-    values, exacts = zip(*parsed)
+    index = index.reshape(dim, dim)
+    values, ints = zip(*parsed)
     mat = np.array(values, dtype=complex)[index]
     exact: ExactMatrix | None = None
-    if all(g is not None for g in exacts):
-        exact = np.array(exacts, dtype=object)[index]
+    if None not in ints:
+        den = math.lcm(*{d for _, q, _, s in ints for d in (q, s)})
+        nums = int_array([v for p, q, r, s in ints for v in (p * (den // q), r * (den // s))])
+        nums = nums.reshape(-1, 2)
+        exact = ExactMatrix(nums[:, 0][index], nums[:, 1][index], den)
     return MatrixFile(mat=mat, m=m, n=n, exact=exact)
 
 
@@ -158,19 +190,40 @@ def load_matrix(path) -> MatrixFile:
         return loads_matrix(fh.read().decode("utf-8"))
 
 
+def _exact_rows(exact: ExactMatrix):
+    """Each row of exact as its cells' tokens, each part reduced by its gcd
+    with den; a token is made once per distinct cell."""
+    den = exact.den
+    tokens: dict[tuple[int, int], str] = {}
+    for re_row, im_row in zip(exact.re.tolist(), exact.im.tolist()):
+        row = []
+        for cell in zip(re_row, im_row):
+            token = tokens.get(cell)
+            if token is None:
+                a, b = cell
+                g, h = math.gcd(a, den), math.gcd(b, den)
+                token = tokens[cell] = entry_token(a // g, den // g, b // h, den // h)
+            row.append(token)
+        yield row
+
+
 def dumps_matrix(mat: np.ndarray, m: int = 0, n: int = 0, exact=None) -> str:
+    """Matrix-file text of mat, with the tokens of `exact` when given: an
+    ExactMatrix, or nested lists of GaussianRational written by str()."""
     mat = np.asarray(mat, dtype=complex)
     dim = mat.shape[0]
     if (m, n) != (0, 0) and m * n != dim:
         raise ValueError(f"bipartite dims ({m},{n}) inconsistent with dim={dim}")
+    if exact is None:
+        rows = (map(format_complex, row) for row in mat)
+    elif isinstance(exact, ExactMatrix):
+        rows = _exact_rows(exact)
+    else:
+        rows = (map(str, row) for row in exact)
     out = io.StringIO()
     out.write(f"{dim} {m} {n}\n")
-    for i in range(dim):
-        if exact is not None:
-            row = " ".join(str(exact[i][j]) for j in range(dim))
-        else:
-            row = " ".join(format_complex(mat[i, j]) for j in range(dim))
-        out.write(row + "\n")
+    for row in rows:
+        out.write(" ".join(row) + "\n")
     return out.getvalue()
 
 

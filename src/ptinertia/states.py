@@ -12,6 +12,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .exact import ExactMatrix
 from .linalg import require_hermitian
 
 SCHMIDT_TOL = 1e-10
@@ -78,8 +79,13 @@ def ket_vector(m: int, n: int, terms: Sequence[tuple[complex, int, int]]) -> np.
     return vec
 
 
-def pt_array(mat: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Partial transpose on system A of an (m*n) x (m*n) matrix."""
+def pt_array(mat, m: int, n: int):
+    """Partial transpose on system A of an (m*n) x (m*n) array or ExactMatrix.
+
+    An ExactMatrix's two numerator arrays are transposed alike.
+    """
+    if isinstance(mat, ExactMatrix):
+        return ExactMatrix(pt_array(mat.re, m, n), pt_array(mat.im, m, n), mat.den)
     mat = np.asarray(mat)
     d = m * n
     if mat.shape != (d, d):

@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from ptinertia.exact import GaussianRational
 
 settings.register_profile(
     "ci", deadline=None, max_examples=30,
@@ -50,3 +54,10 @@ def local_ranks(state):
     reduced = (np.trace(rho, axis1=1, axis2=3), np.trace(rho, axis1=0, axis2=2))
     return tuple(int(np.linalg.matrix_rank(red, tol=1e-9 * max(1.0, np.abs(red).max())))
                  for red in reduced)
+
+
+def exact_cells(em):
+    """An ExactMatrix's cells as nested lists of GaussianRational, each part
+    its numerator over den."""
+    return [[GaussianRational(Fraction(a, em.den), Fraction(b, em.den)) for a, b in zip(ra, ia)]
+            for ra, ia in zip(em.re.tolist(), em.im.tolist())]

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 from fractions import Fraction
 
@@ -12,9 +13,9 @@ from ptinertia import (Inertia, build, build_exact, chain_seed, herm_eig,
 from ptinertia.catalog import (_REGISTRY, CatalogEntry, _merge_params,
                                entry_ids, ex11_closed_form, expected_inertia, get_entry)
 from ptinertia.cli import main
-from ptinertia.exact import GaussianRational, exact_inertia
+from ptinertia.exact import ExactMatrix, GaussianRational, exact_inertia
 
-from conftest import local_ranks
+from conftest import exact_cells, local_ranks
 
 THIRTEEN = {
     (1, 0, 8), (1, 1, 7), (1, 2, 6), (1, 3, 5), (1, 4, 4), (1, 5, 3),
@@ -235,7 +236,7 @@ def test_float_build_is_the_float_view_of_the_exact_build(entry_id, params):
     # equality is exact at every default and wherever float arithmetic on
     # the data is exact (dyadic rationals)
     exact = build_exact(entry_id, **params)
-    assert exact.dtype == object
+    assert type(exact) is ExactMatrix and exact.re.dtype == exact.im.dtype == np.int64
     assert np.array_equal(build(entry_id, **params).mat, exact.astype(complex))
     # the exact PT is pt_array of the exact build
     m, n = get_entry(entry_id).dims
@@ -270,13 +271,17 @@ def _dense_exact_build(entry_id, **params):
     return sum(np.outer(ket, np.conj(ket)) * w.re for w, ket in pairs)
 
 
-def _assert_zero_cells_share_one_object(rho, pairs):
-    """Every zero cell, and so every cell off all the kets' supports, is one object."""
+def _assert_integer_parts_over_the_common_denominator(rho, pairs):
+    """den is L^2 Q, with L the lcm of the kets' coefficient denominators and
+    Q that of the weights', and every cell off all the kets' supports has
+    zero numerators."""
+    amp_den = math.lcm(*(part.denominator for _, ket in pairs for x in ket
+                         for part in (x.re, x.im)))
+    weight_den = math.lcm(*(w.re.denominator for w, _ in pairs))
+    assert rho.den == amp_den ** 2 * weight_den
     support = {k for _, ket in pairs for k in np.flatnonzero(ket).tolist()}
-    zeros = [x for x in rho.flat if not x]
-    assert all(x is zeros[0] for x in zeros)
     d = len(rho)
-    assert all(not rho[r, c] for r in range(d) for c in range(d)
+    assert all(rho.re[r, c] == rho.im[r, c] == 0 for r in range(d) for c in range(d)
                if r not in support or c not in support)
 
 
@@ -297,16 +302,16 @@ def test_support_only_exact_build_equals_the_dense_sum(entry_id, params):
     got = build_exact(entry_id, **params)
     want = _dense_exact_build(entry_id, **params)
     assert got.shape == want.shape
-    assert all(type(g) is GaussianRational for g in got.flat)
-    assert all(g == w for g, w in zip(got.flat, want.flat))
+    assert exact_cells(got) == want.tolist()
     entry = get_entry(entry_id)
-    _assert_zero_cells_share_one_object(got, _exact_kets(entry, _merge_params(entry, params)))
+    _assert_integer_parts_over_the_common_denominator(
+        got, _exact_kets(entry, _merge_params(entry, params)))
 
 
 def test_support_only_build_cancels_exactly():
     rho = build_exact("npt2_ivc", a=1, b=Fraction(1, 2), e=-1)
-    assert rho[0, 4] == 0 and rho[4, 0] == 0
-    assert rho[0, 0] == 2  # |1|^2 from each ket
+    assert rho.re[0, 4] == rho.im[0, 4] == rho.re[4, 0] == rho.im[4, 0] == 0
+    assert (rho.re[0, 0], rho.im[0, 0]) == (2 * rho.den, 0)  # |1|^2 from each ket
 
 
 _fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
@@ -347,9 +352,8 @@ def test_exact_build_equals_the_dense_sum_on_random_kets(family):
         got = build_exact(entry.id)
         want = _dense_exact_build(entry.id)
     assert got.shape == want.shape
-    assert all(type(g) is GaussianRational for g in got.flat)
-    assert all(g == w for g, w in zip(got.flat, want.flat))
-    _assert_zero_cells_share_one_object(got, _exact_kets(entry, {}))
+    assert exact_cells(got) == want.tolist()
+    _assert_integer_parts_over_the_common_denominator(got, _exact_kets(entry, {}))
 
 
 def _registered(mp, dims, terms):

@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from ptinertia import build, build_exact, matio, partial_transpose, pt_array
+from ptinertia import build, build_exact, entry_ids, matio, partial_transpose, pt_array
 from ptinertia.cli import main
 from ptinertia.search import load_records
+
+from test_catalog import DUMP_SHA256
 
 
 def run(capsys, *argv):
@@ -45,6 +47,71 @@ def test_inertia_exact_rejects_a_non_hermitian_rational_file(tmp_path, capsys):
     code, out, err = run(capsys, "inertia", "--file", str(path), "--exact")
     assert code == 2 and out == ""
     assert err == "error: exact_inertia requires an exactly Hermitian matrix\n"
+
+
+# sha256 of the `pt --file` bytes of each `catalog dump` file; both commands
+# write the tokens of the exact view
+PT_OF_DUMP_SHA256 = {
+    "arr13_i": "b4e88f0f8cfc5f63b75d2a0b9ace340c8df6c4ba8822aa9a7dc0318b74a9f014",
+    "arr13_ii": "d4953b4773757884f0b18e0440a08d816590f07bd56ca98381cf34c90a8c1134",
+    "arr13_iii": "94a09792538759e029aab6ae5cc66a3ef6e5feb6338653b06a005b7208d09ed9",
+    "arr13_iv": "9934ab28ae4b48b078b5a80af34332740eb5ea6691fc7759ac0976623a1a04c0",
+    "arr13_ix": "382709ec083f9616ac3a1de4691d7e0c84c0bf15dc5a30090e47ca341bd76cbd",
+    "arr13_v": "c241900011ad49c2219b44c3e0a3642b49be545e01fd7501fc3a5f265b51516c",
+    "arr13_vi": "2dc1f53251af1ce74eb6b7dfd4e662040e4911e82d577f76bef6d76e4ac0db92",
+    "arr13_vii": "56eddcc37f8f7233d5ebefe0c09aca7c147121dd5906d9cf24d51cbe72d552e6",
+    "arr13_viii": "abf4d6a4131ed778828fac5b5f04823ba661a691aa97ab76b384ae1ad9f2bb7a",
+    "arr13_x": "9f41f6b60675e21f91bd6fb9e3f456a36f611a7f15a91037c9a7020c031ace76",
+    "arr13_xi": "c7d11f176a7f8fc7c0ff4f419e8d2c5bc9834851bf281cb77ceda068fea07c80",
+    "arr13_xii": "a3058b3622fe27fcfad4744121a28fe7041ca3f0622cb0ddcee8c52792862954",
+    "arr13_xiii": "6edcf630da505f2eae0bba68ba03f21b055443b943862c2e6aa2b46d1477a700",
+    "arr23_xi": "12ccef1e32f6943c3d76f3aca036e1110f07cc36f8bcdeca899d017a3f784c4c",
+    "arr23_xii": "b955473159e7dfa969ecefe9f99816e3c003f73f61aad84206459f3def3b8de2",
+    "arr23_xiii": "28f6ba6cb2b5f2bd2f97b8588221add694b77901858a7a294472950184827227",
+    "ex11": "5391197471a7f492de6c840ebd53a91ccbc293ad859fa37f643e93577756e036",
+    "npt2_i": "c241900011ad49c2219b44c3e0a3642b49be545e01fd7501fc3a5f265b51516c",
+    "npt2_iia": "382709ec083f9616ac3a1de4691d7e0c84c0bf15dc5a30090e47ca341bd76cbd",
+    "npt2_iib": "fb0306ed993eefe23fd37515b8e61b9530e974deb3406ed678341d647557f5f0",
+    "npt2_iii": "5391197471a7f492de6c840ebd53a91ccbc293ad859fa37f643e93577756e036",
+    "npt2_iva": "71b317cb3afa374c671a8251f6b6b470ea56fc2ba3abbc8374ccd24e1e182708",
+    "npt2_ivb": "d72d71ae21487dbdcbb821af10694a8b3f29144e0bb0d7c3dabd91b706dda58b",
+    "npt2_ivc": "4bf5bba163d789e662650a230fbfc8831703687ebcd7094fc48f31515ee22f28",
+    "npt2_ivd": "bdee58b7b1452d122421a6e97c13328a6d7cfbd4c8fa83c9a63d5890a6f15375",
+    "pure22_r2": "0d7c0ccea1845cf65d482e3c47591b204d6e903f3179bcab1869b29d2622939a",
+    "pure23_r2": "ec765e02caa1ea3a31a6d23b261571ad2b16a12f7d68b60d8ca41d97c267c3e4",
+}
+
+
+@pytest.mark.parametrize("entry_id", entry_ids())
+def test_catalog_dump_and_its_pt_bytes_are_pinned(tmp_path, capsys, entry_id):
+    path = tmp_path / "dump.txt"
+    assert main(["catalog", "dump", entry_id, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP_SHA256[entry_id]
+    code, out, err = run(capsys, "pt", "--file", str(path))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PT_OF_DUMP_SHA256[entry_id]
+
+
+# tokens outside the documented entry grammar that complex() or int() read
+OFF_GRAMMAR = ["1_0", "1e1_0", "(1+2j)", "\u0661/\u0662", "\u0661"]
+
+
+@pytest.mark.parametrize("token", OFF_GRAMMAR)
+@pytest.mark.parametrize("command", ["inertia", "pt"])
+def test_an_entry_outside_the_grammar_exits_2(tmp_path, capsys, command, token):
+    path = tmp_path / "m.txt"
+    path.write_text(f"4 2 2\n1 0 0 0\n0 {token} 0 0\n0 0 1 0\n0 0 0 1\n", encoding="utf-8")
+    code, out, err = run(capsys, command, "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse matrix entry {token!r}\n"
+
+
+@pytest.mark.parametrize("coefficient", ["1_0", "1e1_0", "(2j)", "\u0661/\u0662", "\u0661"])
+def test_a_ket_coefficient_outside_the_grammar_exits_2(capsys, coefficient):
+    code, out, err = run(capsys, "schmidt", "--ket", f"{coefficient}|0,0> + 1|1,1>",
+                         "--dims", "2", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse ket term {coefficient + '|0,0>'!r}\n"
 
 
 def test_inertia_tol_flag(tmp_path, capsys):

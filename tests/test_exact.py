@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptinertia import build_exact, exact, inertia_of, lemma3n_family, pt_array
-from ptinertia.exact import GaussianRational, _sparse_rows, exact_inertia
+from ptinertia import build_exact, exact, inertia_of, lemma3n_family, matio, pt_array
+from ptinertia.exact import ExactMatrix, GaussianRational, as_exact_matrix, exact_inertia
 from ptinertia.linalg import Inertia
+
+from conftest import exact_cells
 
 G = GaussianRational
 
@@ -112,7 +114,7 @@ def test_hash_agrees_with_eq():
 def test_exact_pt_of_rank2_pure():
     rho = build_exact("arr13_vi")
     gamma = pt_array(rho, 3, 3)
-    assert is_exactly_hermitian(gamma)
+    assert is_exactly_hermitian(exact_cells(gamma))
     assert exact_inertia(gamma) == Inertia(1, 5, 3)
 
 
@@ -255,7 +257,7 @@ def test_charpoly_oracle_on_known_spectra():
     assert charpoly_inertia([[G(0), G(0, 1)], [G(0, -1), G(0)]]) == Inertia(1, 0, 1)
     assert charpoly_inertia([[G(1), G(1)], [G(1), G(1)]]) == Inertia(0, 1, 1)
     gamma = pt_array(build_exact("arr13_xii"), 3, 3)
-    assert charpoly_inertia(gamma) == Inertia(3, 1, 5)
+    assert charpoly_inertia(exact_cells(gamma)) == Inertia(3, 1, 5)
 
 
 _small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -343,8 +345,11 @@ def test_sparse_elimination_matches_the_dense_oracle(mat):
 
 
 def row_scalar_types(mat) -> set[type]:
-    """The scalar types exact_inertia's elimination rows hold for mat."""
-    return {type(x) for row in _sparse_rows(mat) for x in row.values()}
+    """The scalar types exact_inertia's elimination rows hold for mat, were
+    every nonzero row left to the elimination."""
+    cells, re_v, im_v = exact._nonzero_rows(as_exact_matrix(mat))
+    rows = exact._elimination_rows(cells, range(len(cells)), re_v, im_v)
+    return {type(x) for row in rows.values() for x in row.values()}
 
 
 _real_entries = st.one_of(st.integers(-4, 4), _small_rationals,
@@ -449,7 +454,8 @@ def _spy_elimination(monkeypatch) -> list:
 
 def _one_by_one_rows(mat) -> list[int]:
     """The rows of mat whose only nonzero is their own diagonal."""
-    return [i for i, row in enumerate(_sparse_rows(mat)) if list(row) == [i]]
+    cells, _, _ = exact._nonzero_rows(as_exact_matrix(mat))
+    return [i for i, row in enumerate(cells) if list(row) == [i]]
 
 
 @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (3, 4)])
@@ -581,3 +587,75 @@ def test_permuted_small_blocks_match_both_oracles(mat):
     if len(mat) <= 6:
         assert got == charpoly_inertia(mat)
 
+
+
+_BOUNDARY_INTS = st.sampled_from([2 ** 53, 2 ** 62, 2 ** 63]).flatmap(
+    lambda bound: st.integers(bound - 2, bound + 1)).flatmap(lambda v: st.sampled_from([v, -v]))
+# 2^31 - 1 and 2^61 - 1 are primes, so a matrix that holds both has a common
+# denominator past 2^63
+_denominators = st.sampled_from([1, 1, 2, 3, 2 ** 31 - 1, 2 ** 61 - 1])
+_numerators = st.one_of(st.integers(-3, 3), _BOUNDARY_INTS)
+_boundary_entries = st.builds(lambda p, q, r, s: G(Fraction(p, q), Fraction(r, s)),
+                              _numerators, _denominators, _numerators, _denominators)
+
+
+@st.composite
+def boundary_hermitians(draw):
+    """Hermitian matrices, d <= 4, whose parts have numerators near +-2^53,
+    +-2^62 and +-2^63 and denominators whose lcm may pass 2^63: sparse,
+    dense, or a sum of r < d signed projectors."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["sparse", "dense", "rank_deficient"]))
+    entries = (_boundary_entries if kind == "dense"
+               else st.one_of(st.just(G(0)), _boundary_entries))
+    if kind == "rank_deficient":
+        r = draw(st.integers(0, d - 1))
+        vecs = [[draw(entries) for _ in range(d)] for _ in range(r)]
+        signs = [draw(st.sampled_from([-1, 1])) for _ in range(r)]
+        return [[sum((s * v[i] * v[j].conjugate() for s, v in zip(signs, vecs)), G(0))
+                 for j in range(d)] for i in range(d)]
+    mat = [[G(0)] * d for _ in range(d)]
+    for i in range(d):
+        mat[i][i] = G(draw(entries).re)
+        for j in range(i + 1, d):
+            mat[i][j] = draw(entries)
+            mat[j][i] = mat[i][j].conjugate()
+    return mat
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex).view(np.uint64)  # tells -0.0 from 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(boundary_hermitians())
+def test_exact_matrices_near_the_int64_and_float_bounds_match_both_oracles(mat):
+    assert is_exactly_hermitian(mat)
+    want = exact_inertia(mat)
+    assert want == dense_elimination_inertia(mat)
+    if len(mat) <= 3:
+        assert want == charpoly_inertia(mat)
+    floats = [[complex(g) for g in row] for row in mat]
+    text = matio.dumps_matrix(np.array(floats), exact=mat)
+    for em in (as_exact_matrix(mat), matio.loads_matrix(text).exact):
+        assert isinstance(em, ExactMatrix) and em.den > 0
+        numerators = [abs(v) for part in (em.re, em.im) for v in part.flat]
+        wide = max(numerators) >= 2 ** 62
+        assert em.re.dtype == em.im.dtype == (object if wide else np.int64)
+        assert exact_cells(em) == mat
+        assert np.array_equal(_bits(em.astype(complex)), _bits(floats))
+        assert exact_inertia(em) == want
+
+
+def test_a_family_pt_loads_and_certifies_with_no_gaussian_rational(monkeypatch):
+    want, state = lemma3n_family(8)[50]
+    gamma = pt_array(state.mat, 3, 8)
+    text = matio.dumps_matrix(gamma, 3, 8, [[G(Fraction(z.real)) for z in row] for row in gamma])
+    made = []
+    init = G.__init__
+    monkeypatch.setattr(G, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    assert exact_inertia(matio.loads_matrix(text).exact) == want
+    assert made == []
+    # the exact build makes one per ket coefficient and weight, none per cell
+    rho = build_exact("arr13_xiii")
+    assert 0 < len(made) <= 12 < rho.re.size

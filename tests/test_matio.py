@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from hypothesis import given, strategies as st
 from ptinertia import Inertia, build_exact, matio, pt_array
 from ptinertia.cli import main
 from ptinertia.exact import GaussianRational, exact_inertia
+
+from conftest import exact_cells
 
 
 def test_float_round_trip(rng, tmp_path):
@@ -30,7 +33,7 @@ def test_rational_round_trip(tmp_path):
     matio.save_matrix(path, mat, 1, 2, exact)
     loaded = matio.load_matrix(path)
     assert loaded.exact is not None
-    assert loaded.exact[0][1] == exact[0][1]
+    assert exact_cells(loaded.exact) == exact
     assert np.allclose(loaded.mat, mat)
     assert (loaded.m, loaded.n) == (1, 2)
 
@@ -38,7 +41,8 @@ def test_rational_round_trip(tmp_path):
 def test_integer_tokens_count_as_rational():
     mf = matio.loads_matrix("2 0 0\n1 0\n0 -3\n")
     assert mf.exact is not None
-    assert mf.exact[1][1] == GaussianRational(-3)
+    assert mf.exact.den == 1
+    assert mf.exact.re.tolist() == [[1, 0], [0, -3]] and not mf.exact.im.any()
 
 
 def test_mixed_file_loses_exactness():
@@ -97,6 +101,34 @@ def test_float_view_has_the_bits_of_the_exact_values_complex(token, exact):
     value, got = matio.parse_entry(token)
     assert got == exact
     assert _bits(value) == _bits(complex(got)) == _bits(complex(exact))
+
+
+# complex() skips an underscore between digits and drops parentheses, and
+# complex() and int() read Arabic-Indic and fullwidth digits
+KET_OFF_GRAMMAR = ["1_0", "1e1_0", "(2j)", "\u0661/\u0662", "\u0661", "\uff11"]
+
+
+@pytest.mark.parametrize("token", KET_OFF_GRAMMAR + ["1+2_0j", "(1+2j)", "1+\u0661j"])
+def test_parse_entry_reads_only_the_ascii_grammar(token):
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse matrix entry {token!r}")):
+        matio.parse_entry(token)
+
+
+@pytest.mark.parametrize("coefficient", KET_OFF_GRAMMAR)
+def test_parse_ket_reads_coefficients_only_in_the_ascii_grammar(coefficient):
+    term = f"{coefficient}|0,0>"
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse ket term {term!r}")) as info:
+        matio.parse_ket(term, 2, 2)
+    assert str(info.value.__cause__) == f"cannot parse matrix entry {coefficient!r}"
+
+
+@pytest.mark.parametrize("token", [
+    "1.5", ".5", "5.", "-2.5E+2", "1e-3j", "j", "-J", "1+j", "2-.5j", "inf", "-Infinity",
+    "NaN", "1+nanj", "infj",
+])
+def test_parse_entry_keeps_every_decimal_form(token):
+    value, exact = matio.parse_entry(token)
+    assert exact is None and _bits(value) == _bits(complex(token))
 
 
 def test_float_view_of_a_huge_quotient_is_correctly_rounded():
@@ -169,11 +201,42 @@ def test_rational_file_cells_equal_their_own_parse():
     text = "3 0 0\n1/2 -1/3+2j 0\n-1/3-2j 1/2 7/4j\n0 -7/4j 1/2\n"
     mf = matio.loads_matrix(text)
     expect = _fresh_exact(text)
-    assert mf.exact.dtype == object and mf.exact.shape == (3, 3)
-    assert all(type(g) is GaussianRational for g in mf.exact.flat)
-    assert all(a == b for a, b in zip(mf.exact.flat, expect.flat))
+    assert mf.exact.shape == (3, 3)
+    # numerators over the lcm of the denominators 2, 3 and 4
+    assert mf.exact.re.dtype == mf.exact.im.dtype == np.int64 and mf.exact.den == 12
+    assert mf.exact.re.tolist() == [[6, -4, 0], [-4, 6, 0], [0, 0, 6]]
+    assert mf.exact.im.tolist() == [[0, 24, 0], [-24, 0, 21], [0, -21, 0]]
+    assert exact_cells(mf.exact) == expect.tolist()
     assert np.array_equal(mf.mat, mf.exact.astype(complex))
-    assert mf.exact[0, 0] is mf.exact[1, 1]  # one value per distinct token
+
+
+_token_parts = st.one_of(st.integers(-9, 9), st.integers(-2 ** 64, 2 ** 64))
+_token_dens = st.one_of(st.integers(1, 12), st.sampled_from([2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64]))
+_entry_tokens = st.one_of(
+    st.builds(str, _token_parts),
+    st.builds(lambda p, q: f"{p}/{q}j", _token_parts, _token_dens),
+    st.builds(lambda p, q, r, s: f"{p}/{q}{r:+d}/{s}j",
+              _token_parts, _token_dens, _token_parts, _token_dens),
+    st.sampled_from(["1.5", "-2e-3+1j", ".5j", "-0"]),
+)
+
+
+@given(st.data())
+def test_loader_views_equal_a_fresh_per_cell_parse(data):
+    d = data.draw(st.integers(1, 5))
+    pool = data.draw(st.lists(_entry_tokens, min_size=1, max_size=4))
+    rows = [[data.draw(st.sampled_from(pool)) for _ in range(d)] for _ in range(d)]
+    mf = matio.loads_matrix(f"{d} 0 0\n" + "".join(" ".join(row) + "\n" for row in rows))
+    fresh = [[matio.parse_entry(tok) for tok in row] for row in rows]
+    assert ([[_bits(z) for z in row] for row in mf.mat.tolist()]
+            == [[_bits(value) for value, _ in row] for row in fresh])
+    exacts = [[g for _, g in row] for row in fresh]
+    if any(g is None for row in exacts for g in row):
+        assert mf.exact is None
+    else:
+        assert exact_cells(mf.exact) == exacts
+        assert mf.exact.den == math.lcm(*(part.denominator for row in exacts for g in row
+                                          for part in (g.re, g.im)))
 
 
 def test_decimal_token_anywhere_drops_the_exact_view():
@@ -193,7 +256,7 @@ def test_shared_entries_survive_pt_and_certification():
     ine = exact_inertia(mf.exact)
     assert ine == Inertia(3, 1, 5)
     fresh = _fresh_exact(text)
-    assert all(a == b for a, b in zip(mf.exact.flat, fresh.flat))
+    assert exact_cells(mf.exact) == fresh.tolist()
     assert exact_inertia(mf.exact) == ine
 
 

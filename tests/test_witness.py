@@ -8,6 +8,7 @@ from ptinertia import (State, build, build_exact, dm_from_kets, is_witness,
                        ket_vector, min_product_expectation, partial_transpose,
                        pt_inertia, random_state)
 from ptinertia.catalog import entry_ids
+from ptinertia.exact import ExactMatrix
 from ptinertia.matio import loads_matrix
 from ptinertia.witness import NotAWitness
 
@@ -109,7 +110,8 @@ def test_is_witness_rejects_an_exact_view_of_another_state():
     with pytest.raises(ValueError, match="does not match"):
         is_witness(build("arr13_vi"), exact=build_exact("arr13_ix"))
     with pytest.raises(ValueError, match="does not match"):
-        is_witness(build("arr13_vi"), exact=build_exact("arr13_vi")[:4, :4])
+        rho = build_exact("arr13_vi")
+        is_witness(build("arr13_vi"), exact=ExactMatrix(rho.re[:4, :4], rho.im[:4, :4], rho.den))
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 3)]),
