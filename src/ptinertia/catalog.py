@@ -451,7 +451,7 @@ def build(entry_id: str, **overrides) -> State:
 def build_exact(entry_id: str, **overrides) -> ExactMatrix | None:
     """Exact Gaussian-rational build, or None when parameters are irrational.
 
-    ``.astype(complex)`` equals build(...).mat where float arithmetic is exact.
+    ``.float_view()`` equals build(...).mat where float arithmetic is exact.
     """
     entry = get_entry(entry_id)
     params = _merge_params(entry, overrides)

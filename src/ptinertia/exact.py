@@ -4,8 +4,8 @@ An exact matrix (ExactMatrix) is a square matrix over Q(i) held as two
 Gaussian-integer numerator arrays over one positive int: cell (i, j) is
 (re[i, j] + i im[i, j]) / den.  Each array is int64 while its values lie
 below 2^62 in magnitude, and otherwise an object array of Python ints
-(int_array).  states.pt_array transposes both arrays, and
-``.astype(complex)`` is the float view, each part correctly rounded.
+(int_array).  states.pt_array transposes both arrays, and float_view() is
+the float matrix, each part correctly rounded.
 catalog.build_exact and matio.loads_matrix make one from integers, with no
 GaussianRational per cell; as_exact_matrix reads nested lists or object
 arrays of GaussianRational, int or Fraction cells into one.  No zero band is
@@ -158,9 +158,6 @@ _NOT_HERMITIAN = "exact_inertia requires an exactly Hermitian matrix"
 # numerators below this in magnitude are held as int64, so negating one
 # stays in range
 _INT64_LIMIT = 2 ** 62
-# an int64 numerator and a den up to this are exact as floats, so numpy's
-# division of them is correctly rounded
-_FLOAT_EXACT = 2 ** 53
 
 
 def int_array(values: list[int]) -> np.ndarray:
@@ -174,13 +171,20 @@ def int_array(values: list[int]) -> np.ndarray:
 class ExactMatrix:
     """A square matrix over Q(i): cell (i, j) is (re[i, j] + i im[i, j]) / den.
 
-    ``re`` and ``im`` are square integer arrays of one shape (int_array's
-    dtypes) and ``den`` is a positive int.
+    ``re`` and ``im`` are square int64 or object arrays of one shape
+    (int_array's dtypes) and ``den`` is a positive int; anything else raises
+    ValueError.
     """
 
     __slots__ = ("re", "im", "den")
 
     def __init__(self, re: np.ndarray, im: np.ndarray, den: int):
+        if not (isinstance(re, np.ndarray) and isinstance(im, np.ndarray)
+                and re.ndim == 2 and re.shape[0] == re.shape[1] and re.shape == im.shape
+                and all(a.dtype in (np.int64, object) for a in (re, im))):
+            raise ValueError(_NOT_HERMITIAN)
+        if not (isinstance(den, int) and den > 0):
+            raise ValueError(f"an ExactMatrix denominator must be a positive int, got {den!r}")
         self.re, self.im, self.den = re, im, den
 
     @property
@@ -190,21 +194,14 @@ class ExactMatrix:
     def __len__(self) -> int:
         return len(self.re)
 
-    def astype(self, dtype) -> np.ndarray:
-        """The float view; only complex is offered.  Each part is correctly
-        rounded, as complex() of the cell's GaussianRational is: numpy divides
-        where the numerators and den are exact as floats, and Python's int / int
-        divides the nonzero cells elsewhere."""
-        if np.dtype(dtype) != np.complex128:
-            raise TypeError(f"an ExactMatrix has a complex float view only, not {dtype!r}")
+    def float_view(self) -> np.ndarray:
+        """The complex float matrix.  Python's int / int divides each nonzero
+        part by den, correctly rounded, as complex() of the cell's
+        GaussianRational is."""
         out = np.zeros(self.shape, dtype=complex)
         for part, view in ((self.re, out.real), (self.im, out.imag)):
-            if (part.dtype == object or self.den > _FLOAT_EXACT
-                    or np.abs(part).max(initial=0) > _FLOAT_EXACT):
-                nonzero = np.nonzero(part)
-                view[nonzero] = [v / self.den for v in part[nonzero].tolist()]
-            else:
-                view[...] = part / self.den
+            nonzero = np.nonzero(part)
+            view[nonzero] = [v / self.den for v in part[nonzero].tolist()]
         return out
 
 

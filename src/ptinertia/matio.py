@@ -54,7 +54,9 @@ from .exact import ExactMatrix, GaussianRational, entry_token, int_array
 # groups: numerator, then denominator or None, of each rational part
 _RAT_FULL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?:([+-][0-9]+)(?:/([0-9]+))?j)?")
 _RAT_IMAG = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?j")
-_DEC_PART = r"(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)"
+# each alternative splits a run of digits one way only, so a failed match
+# backtracks in time linear in the token
+_DEC_PART = r"(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)"
 _DECIMAL = re.compile(rf"[+-]?{_DEC_PART}(?:[+-]{_DEC_PART}?j)?|[+-]?{_DEC_PART}?j",
                       re.ASCII | re.IGNORECASE)
 

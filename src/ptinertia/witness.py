@@ -117,7 +117,7 @@ def is_witness(state: State, tol_zero: float = TOL_ZERO,
     else:
         certified = "exact"
         if exact.shape != state.mat.shape or (
-                max_abs(exact.astype(complex) - state.mat)
+                max_abs(exact.float_view() - state.mat)
                 > TOL_RESID * max(1.0, max_abs(state.mat))):
             raise ValueError("exact view does not match the state's matrix")
         psd = exact_inertia(exact).neg == 0

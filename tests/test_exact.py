@@ -74,6 +74,27 @@ def test_exact_inertia_rejects_non_square_and_non_hermitian(mat):
         exact_inertia(mat)
 
 
+_I2 = np.eye(2, dtype=np.int64)
+
+
+@pytest.mark.parametrize("re_part, im_part, den, message", [
+    (_I2, 0 * _I2, 0, "denominator must be a positive int, got 0"),
+    (_I2, 0 * _I2, -1, "denominator must be a positive int, got -1"),
+    (_I2, 0 * _I2, 2.0, "denominator must be a positive int, got 2.0"),
+    (np.ones((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64), 1, "exactly Hermitian"),
+    (_I2, np.zeros((3, 3), dtype=np.int64), 1, "exactly Hermitian"),
+    (np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64), 1, "exactly Hermitian"),
+    (_I2.astype(float), 0 * _I2, 1, "exactly Hermitian"),
+    (_I2.tolist(), [[0, 0], [0, 0]], 1, "exactly Hermitian"),
+])
+def test_an_exact_matrix_needs_square_integer_parts_over_a_positive_den(
+        re_part, im_part, den, message):
+    # exact_inertia works on den * A: -I held as I over den = -1 would
+    # certify as (0,0,2)
+    with pytest.raises(ValueError, match=message):
+        ExactMatrix(re_part, im_part, den)
+
+
 def test_exact_inertia_accepts_ints_and_fractions():
     mat = [[2, Fraction(1, 2), 0], [Fraction(1, 2), 0, 0], [0, 0, 0]]
     assert exact_inertia(mat) == Inertia(1, 1, 1)
@@ -643,7 +664,7 @@ def test_exact_matrices_near_the_int64_and_float_bounds_match_both_oracles(mat):
         wide = max(numerators) >= 2 ** 62
         assert em.re.dtype == em.im.dtype == (object if wide else np.int64)
         assert exact_cells(em) == mat
-        assert np.array_equal(_bits(em.astype(complex)), _bits(floats))
+        assert np.array_equal(_bits(em.float_view()), _bits(floats))
         assert exact_inertia(em) == want
 
 

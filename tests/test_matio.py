@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -114,6 +115,24 @@ def test_parse_entry_reads_only_the_ascii_grammar(token):
         matio.parse_entry(token)
 
 
+# 10^5 digits and one bad byte: a pattern that could split the digit run
+# several ways took O(N^2) steps, minutes, to refuse such a token
+LONG_DIGITS = "1" * 10 ** 5
+
+
+@pytest.mark.parametrize("token", [
+    LONG_DIGITS + "x", "." + LONG_DIGITS + "x", LONG_DIGITS + "e" + LONG_DIGITS + "x",
+    "1+" + LONG_DIGITS + "x", "1/" + LONG_DIGITS + "x", LONG_DIGITS + "jx",
+])
+def test_a_long_token_outside_the_grammar_is_refused_in_linear_time(token):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^cannot parse matrix entry"):
+        matio.parse_entry(token)
+    with pytest.raises(ValueError, match="^cannot parse matrix entry"):
+        matio.loads_matrix(f"1 0 0\n{token}\n")
+    assert time.perf_counter() - start < 2.0
+
+
 @pytest.mark.parametrize("coefficient", KET_OFF_GRAMMAR)
 def test_parse_ket_reads_coefficients_only_in_the_ascii_grammar(coefficient):
     term = f"{coefficient}|0,0>"
@@ -207,7 +226,7 @@ def test_rational_file_cells_equal_their_own_parse():
     assert mf.exact.re.tolist() == [[6, -4, 0], [-4, 6, 0], [0, 0, 6]]
     assert mf.exact.im.tolist() == [[0, 24, 0], [-24, 0, 21], [0, -21, 0]]
     assert exact_cells(mf.exact) == expect.tolist()
-    assert np.array_equal(mf.mat, mf.exact.astype(complex))
+    assert np.array_equal(mf.mat, mf.exact.float_view())
 
 
 _token_parts = st.one_of(st.integers(-9, 9), st.integers(-2 ** 64, 2 ** 64))
@@ -250,7 +269,7 @@ def test_shared_entries_survive_pt_and_certification():
     # every cell of a catalog PT repeats one of a few tokens; loading, the
     # exact partial transpose and the elimination must leave them untouched
     rho = build_exact("arr13_xii")
-    text = matio.dumps_matrix(rho.astype(complex), 3, 3, pt_array(rho, 3, 3))
+    text = matio.dumps_matrix(rho.float_view(), 3, 3, pt_array(rho, 3, 3))
     mf = matio.loads_matrix(text)
     pt_array(mf.exact, 3, 3)
     ine = exact_inertia(mf.exact)
