@@ -26,18 +26,14 @@ det > 0 two of the sign of a, and det = 0 one zero and one of the sign of a
 Only the rows left get dicts of their nonzero entries, and the elimination
 does arithmetic only where both factors of an update are nonzero, so a
 sparse partial transpose (the chain-family witnesses have a few percent
-nonzeros) costs a fraction of a dense one of the same size.  When none of
-their entries has an imaginary part (every partial transpose of a real
-state, including the integer-Wishart and dyadic chain-family ones) they are
-eliminated over Q instead: the rows hold plain Fractions.  Q is a subfield
-of Q(i) closed under the same + - * / and conjugation (the identity there),
-so the congruence steps, and with them the triple, are the ones the Q(i)
-elimination would take, at a fraction of the cost of GaussianRational
-arithmetic.
-
-GaussianRational values are immutable: arithmetic returns new objects and
-nothing assigns to ``re`` or ``im`` after construction, so elimination rows
-may share them.
+nonzeros) costs a fraction of a dense one of the same size.  The rows
+left are eliminated over Q, as Fractions: as they are when none of their
+entries has an imaginary part (every partial transpose of a real state,
+such as the integer-Wishart and chain-family ones), else through their real
+embedding.  H = A + iB is Hermitian exactly when M = [[A, -B], [B, A]] is
+symmetric, and M has each eigenvalue of H twice (Horn & Johnson, Matrix
+Analysis, 4.1), so M's counts are halved.  M has twice the rows of H and up
+to four times its nonzeros.
 """
 
 from __future__ import annotations
@@ -248,7 +244,7 @@ def _nonzero_rows(em: ExactMatrix) -> tuple[list[dict[int, int]], list[int], lis
     return rows, re_v, im_v
 
 
-def _sub_scaled(row: dict, coeff: GaussianRational | Fraction, other: dict) -> None:
+def _sub_scaled(row: dict, coeff: Fraction, other: dict) -> None:
     """row -= coeff * other on other's nonzeros, deleting entries that cancel to 0."""
     minus = -coeff
     for j, x in other.items():
@@ -261,12 +257,6 @@ def _sub_scaled(row: dict, coeff: GaussianRational | Fraction, other: dict) -> N
                 row[j] = v
             else:
                 del row[j]
-
-
-def _positive(x: GaussianRational | Fraction) -> bool:
-    """x > 0 for a real x, read off its numerator; Fraction.real would build
-    a new Fraction."""
-    return (x if type(x) is Fraction else x.re).numerator > 0
 
 
 def _partner(i: int, row: dict) -> int | None:
@@ -317,13 +307,23 @@ def _settle_blocks(rows, re_v, im_v) -> tuple[int, int, list[int]]:
     return neg, pos, left
 
 
-def _elimination_rows(rows, left, re_v, im_v) -> dict[int, dict]:
-    """Row i in `left` as {j: numerator}: Fractions when no entry of these
-    rows has an imaginary part, else GaussianRationals."""
-    if any(im_v[k] for i in left for k in rows[i].values()):
-        return {i: {j: GaussianRational(re_v[k], im_v[k]) for j, k in rows[i].items()}
-                for i in left}
-    return {i: {j: Fraction(re_v[k]) for j, k in rows[i].items()} for i in left}
+def _elimination_rows(rows, left, re_v, im_v) -> dict[int, dict[int, Fraction]]:
+    """Row i in `left` as {j: numerator}, a Fraction, when no entry of these
+    rows has an imaginary part, else rows i and i + d (d = len(rows)) of the
+    real embedding [[A, -B], [B, A]] of these rows A + iB."""
+    if not any(im_v[k] for i in left for k in rows[i].values()):
+        return {i: {j: Fraction(re_v[k]) for j, k in rows[i].items()} for i in left}
+    d = len(rows)
+    out = {}
+    for i in left:
+        top, bottom = {}, {}
+        out[i], out[i + d] = top, bottom
+        for j, k in rows[i].items():
+            if re_v[k]:
+                top[j] = bottom[j + d] = Fraction(re_v[k])
+            if im_v[k]:
+                top[j + d], bottom[j] = Fraction(-im_v[k]), Fraction(im_v[k])
+    return out
 
 
 def exact_inertia(mat) -> Inertia:
@@ -331,20 +331,22 @@ def exact_inertia(mat) -> Inertia:
 
     `mat` is an ExactMatrix, or nested lists or an object array of
     GaussianRational, int or Fraction entries (as_exact_matrix).  It works
-    on the numerators den * A.  Symmetric Gaussian elimination with 1x1
-    diagonal pivots: a nonzero diagonal entry contributes its sign.  If the
-    whole active diagonal vanishes, row p (the one with the fewest nonzeros)
-    has a = a_pq != 0, and e_p -> e_p + conj(a) e_q makes a_pp = 2|a|^2 > 0.
-    Each step is a congruence, so Sylvester's law makes the tally exact.
+    on the numerators den * A.  First the blocks: a row whose only nonzero
+    is its diagonal (its column is then empty too) is a 1x1 block, counted
+    by its sign.  Rows i and j whose nonzeros all lie in columns i and j are
+    a 2x2 block, counted from a = a_ii, c = a_jj (0 when absent) and
+    det = a c - |a_ij|^2 in Python ints: det < 0 is one negative and one
+    positive, det > 0 two of the sign of a, det = 0 one zero and one of the
+    sign of a.  A row that also touches a third row stays in the
+    elimination, and an empty row is one zero eigenvalue.
 
-    First the blocks: a row whose only nonzero is its diagonal (its column
-    is then empty too) is a 1x1 block, counted by its sign.  Rows i and j
-    whose nonzeros all lie in columns i and j are a 2x2 block, counted from
-    a = a_ii, c = a_jj (0 when absent) and det = a c - |a_ij|^2 in Python
-    ints: det < 0 is one negative and one positive, det > 0 two of the sign
-    of a, det = 0 one zero and one of the sign of a.  A row that also
-    touches a third row stays in the elimination, and an empty row is one
-    zero eigenvalue.
+    The rows left are eliminated over Q, through their real embedding when
+    they are complex (_elimination_rows), whose counts are halved.
+    Symmetric Gaussian elimination with 1x1 diagonal pivots: a nonzero
+    diagonal entry d contributes its sign, d > 0.  If the whole active
+    diagonal vanishes, row p (the one with the fewest nonzeros) has
+    a = a_pq != 0, and e_p -> e_p + a e_q makes a_pp = 2 a^2 > 0.  Each step
+    is a congruence, so Sylvester's law makes the tally exact.
 
     The elimination is sparse: row i is a dict {j: a_ij} of its nonzero
     entries, an update only touches entries where both of its factors are
@@ -352,19 +354,13 @@ def exact_inertia(mat) -> Inertia:
     that empties is done: it is one zero eigenvalue.  The pivot is the
     nonzero diagonal entry whose row has the fewest nonzeros, which limits
     fill-in; Sylvester's law makes the triple independent of that order.
-
-    When no entry of the rows left has a nonzero imaginary part the rows
-    hold Fractions and the same loop runs over Q, which gives the Q(i)
-    triple (see the module docstring): + - * /, conjugate() and bool() mean
-    the same on Fraction and GaussianRational.  A diagonal entry is real,
-    and its sign is read from the numerator of the Fraction or of its
-    ``re``.
     """
     em = as_exact_matrix(mat)
     cells, re_v, im_v = _nonzero_rows(em)
     neg, pos, left = _settle_blocks(cells, re_v, im_v)
     rows = _elimination_rows(cells, left, re_v, im_v)
-    active = set(left)
+    active = set(rows)
+    signs = [0, 0]  # negative and positive pivots
     while active:
         pivot = min((p for p in active if p in rows[p]), key=lambda p: len(rows[p]),
                     default=None)
@@ -373,29 +369,29 @@ def exact_inertia(mat) -> Inertia:
             prow = rows[pivot]
             q = next(iter(prow))
             a, qrow = prow[q], rows[q]
-            # row p += a * row q, then column p += conj(a) * column q; with
-            # a_pp = a_qq = 0 each adds |a|^2 to a_pp
+            # row p += a * row q, then column p += a * column q; with
+            # a_pp = a_qq = 0 each adds a^2 to a_pp
             _sub_scaled(prow, -a, qrow)
-            prow[pivot] += a.conjugate() * a
+            prow[pivot] += a * a
             # only rows i with a_qi != 0 see a_pi change; one that cancels to 0
             # held a_pi = -a a_qi != 0 before, so its p key is there to delete
             for i in qrow.keys() - {pivot}:
                 if i in prow:
-                    rows[i][pivot] = prow[i].conjugate()
+                    rows[i][pivot] = prow[i]
                 else:
                     del rows[i][pivot]
         prow = rows[pivot]
         d = prow.pop(pivot)
         active.discard(pivot)
-        if _positive(d):
-            pos += 1
-        else:
-            neg += 1
-        # a_ij -= a_ip a_pj / d, with a_ip = conj(a_pi)
+        signs[d > 0] += 1
+        # a_ij -= a_ip a_pj / d, with a_ip = a_pi
         for i, a_pi in prow.items():
             ri = rows[i]
             del ri[pivot]
-            _sub_scaled(ri, a_pi.conjugate() / d, prow)
+            _sub_scaled(ri, a_pi / d, prow)
             if not ri:
                 active.discard(i)
+    # k rows per row left: the real embedding has each eigenvalue twice
+    k = len(rows) // len(left) if left else 1
+    neg, pos = neg + signs[0] // k, pos + signs[1] // k
     return Inertia(neg, len(em) - neg - pos, pos)

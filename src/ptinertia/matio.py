@@ -1,9 +1,9 @@
 """Text I/O for matrices and ket literals.
 
-Matrix file format: one header line ``dim m n`` (three integers, with
-``m, n > 0`` and ``m*n == dim``; ``m = n = 0`` marks a matrix without
-bipartite structure), followed by ``dim`` rows of ``dim`` whitespace-separated
-entries.  An entry token is written in ASCII, in one of two forms:
+Matrix file format: one header line ``dim m n`` (three ASCII integers
+``[+-]?[0-9]+``, ``m, n > 0`` and ``m*n == dim``; ``m = n = 0`` marks a matrix
+without bipartite structure), followed by ``dim`` rows of ``dim``
+whitespace-separated entries.  An entry token is ASCII, in one of two forms:
 
 - an exact rational ``p/q+r/sj``: ``p``, ``q``, ``r``, ``s`` are runs of
   digits, ``p`` may carry a sign and ``r`` must, each ``/q`` or ``/s`` may be
@@ -62,7 +62,8 @@ _DECIMAL = re.compile(rf"[+-]?{_DEC_PART}(?:[+-]{_DEC_PART}?j)?|[+-]?{_DEC_PART}
 
 # a coefficient holds no + or - except the sign of an exponent (1e-3, 2.5E+2)
 _KET_TERM = re.compile(
-    r"([+-]?)\s*((?:[^|+-]|(?<=[\d.][eE])[+-])*)\s*\|\s*(\d+)\s*,\s*(\d+)\s*>")
+    r"([+-]?)\s*((?:[^|+-]|(?<=[0-9.][eE])[+-])*)\s*\|\s*([0-9]+)\s*,\s*([0-9]+)\s*>")
+_HEADER_INT = re.compile(r"[+-]?[0-9]+")  # int() alone also reads 0_0 and non-ASCII digits
 
 
 @dataclass
@@ -148,7 +149,8 @@ def loads_matrix(text: str) -> MatrixFile:
     if len(header) != 3:
         raise ValueError(f"header must be 'dim m n', got {lines[0]!r}")
     try:
-        dim, m, n = map(int, header)
+        # a field that is not _HEADER_INT is dropped, so unpacking fails
+        dim, m, n = (int(f) for f in header if _HEADER_INT.fullmatch(f))
     except ValueError:
         raise ValueError(f"header must be 'dim m n' integers, got {lines[0]!r}") from None
     if dim <= 0:
@@ -242,10 +244,10 @@ def parse_ket(literal: str, m: int, n: int) -> np.ndarray:
     ``2j``, ``1/2j``), spaces ignored; an omitted coefficient means 1.  A
     ``+`` or ``-`` that does not follow an exponent marker starts a new
     term, so an ``a+bj`` coefficient is refused: ``-1-2j|0,0>`` would read
-    as -(1-2j).  Returns the amplitude vector in the row-major
-    (A-index, B-index) convention.  A term whose coefficient does not parse
-    (``1/0``) or leaves its amplitude non-finite (``inf``, ``nan``, overflow)
-    raises ValueError naming the term.
+    as -(1-2j).  The indices are ASCII digits.  Returns the amplitude
+    vector in the row-major (A-index, B-index) convention.  A term whose
+    coefficient does not parse (``1/0``) or leaves its amplitude non-finite
+    (``inf``, ``nan``, overflow) raises ValueError naming the term.
     """
     if m < 1 or n < 1:
         raise ValueError(f"local dimensions must be >= 1, got ({m},{n})")

@@ -114,6 +114,22 @@ def test_a_ket_coefficient_outside_the_grammar_exits_2(capsys, coefficient):
     assert err == f"error: cannot parse ket term {coefficient + '|0,0>'!r}\n"
 
 
+@pytest.mark.parametrize("header", ["\u0662 0 0", "2 0 0_0", "\uff12 0 0", "2 +1_0 0"])
+def test_a_header_outside_ascii_digits_exits_2(tmp_path, capsys, header):
+    path = tmp_path / "m.txt"
+    path.write_text(f"{header}\n1 0\n0 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "inertia", "--file", str(path), "--exact")
+    assert (code, out) == (2, "")
+    assert err == f"error: header must be 'dim m n' integers, got {header!r}\n"
+
+
+@pytest.mark.parametrize("index", ["\u0661,\u0660", "1,\u0660", "\uff11,0"])
+def test_a_ket_index_outside_ascii_digits_exits_2(capsys, index):
+    code, out, err = run(capsys, "schmidt", "--ket", f"1|{index}> + 1|0,1>", "--dims", "2", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: unparsed text in ket literal: {'1|' + index + '>'!r}\n"
+
+
 def test_inertia_tol_flag(tmp_path, capsys):
     path = tmp_path / "m.txt"
     matio.save_matrix(path, np.diag([1.0, 1e-6, -1.0]), 0, 0)

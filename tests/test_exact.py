@@ -111,15 +111,16 @@ def test_exact_inertia_on_cancelling_and_zero_diagonal_input():
     assert exact_inertia(swap) == Inertia(2, 0, 2)
 
 
-@pytest.mark.parametrize("mat, scalar", [
+@pytest.mark.parametrize("mat, field", [
     ([[0, 1, 1], [1, 0, -1], [1, -1, 0]], Fraction),
     ([[0, G(0, 1), G(0, 1)], [G(0, -1), 0, -1], [G(0, -1), -1, 0]], G),
 ])
-def test_zero_diagonal_congruence_that_cancels_an_entry(mat, scalar):
+def test_zero_diagonal_congruence_that_cancels_an_entry(mat, field):
     # row 0 += a_01 * row 1 turns a_02 into a_02 + a_01 a_12 = 0, so row 2
     # loses its entry in column 0 before the first pivot
     assert is_exactly_hermitian(mat)
-    assert row_scalar_types(mat) == {scalar}
+    assert row_scalar_types(mat) == {Fraction}
+    assert len(elimination_rows(mat)) == (2 if field is G else 1) * len(mat)
     assert exact_inertia(mat) == charpoly_inertia(mat) == Inertia(1, 0, 2)
 
 
@@ -365,12 +366,16 @@ def test_sparse_elimination_matches_the_dense_oracle(mat):
         assert got == charpoly_inertia(mat)
 
 
-def row_scalar_types(mat) -> set[type]:
-    """The scalar types exact_inertia's elimination rows hold for mat, were
-    every nonzero row left to the elimination."""
+def elimination_rows(mat) -> dict[int, dict]:
+    """exact_inertia's elimination rows for mat, were every row left to the
+    elimination."""
     cells, re_v, im_v = exact._nonzero_rows(as_exact_matrix(mat))
-    rows = exact._elimination_rows(cells, range(len(cells)), re_v, im_v)
-    return {type(x) for row in rows.values() for x in row.values()}
+    return exact._elimination_rows(cells, range(len(cells)), re_v, im_v)
+
+
+def row_scalar_types(mat) -> set[type]:
+    """The scalar types elimination_rows(mat) holds."""
+    return {type(x) for row in elimination_rows(mat).values() for x in row.values()}
 
 
 _real_entries = st.one_of(st.integers(-4, 4), _small_rationals,
@@ -422,14 +427,18 @@ _imaginary_parts = _small_rationals.filter(bool)
 
 @settings(max_examples=60, deadline=None)
 @given(real_rational_hermitians().filter(lambda m: len(m) >= 2), st.data())
-def test_one_conjugate_pair_keeps_the_whole_matrix_over_q_i(mat, data):
+def test_one_conjugate_pair_embeds_the_whole_matrix_over_q(mat, data):
     d = len(mat)
     mat = [list(row) for row in mat]
     i, j = data.draw(st.permutations(range(d)))[:2]
     entry = G(G.coerce(mat[i][j]).re, data.draw(_imaginary_parts))
     mat[i][j], mat[j][i] = entry, entry.conjugate()
     assert is_exactly_hermitian(mat)
-    assert row_scalar_types(mat) == {G}
+    assert row_scalar_types(mat) == {Fraction}
+    # rows i and i + d of the real embedding for every row i, and symmetric
+    rows = elimination_rows(mat)
+    assert set(rows) == set(range(2 * d))
+    assert all(rows[k][i] == x for i, row in rows.items() for k, x in row.items())
     got = exact_inertia(mat)
     assert got == dense_elimination_inertia(mat)
     if d <= 6:
@@ -504,11 +513,12 @@ def _blocks_and_one_by_ones(coupled):
     return mat
 
 
-@pytest.mark.parametrize("coupled, scalar", [(G(5), Fraction), (G(1, 1), G)])
-def test_one_by_one_blocks_beside_coupled_blocks_match_both_oracles(coupled, scalar):
+@pytest.mark.parametrize("coupled, field", [(G(5), Fraction), (G(1, 1), G)])
+def test_one_by_one_blocks_beside_coupled_blocks_match_both_oracles(coupled, field):
     mat = _blocks_and_one_by_ones(coupled)
     assert is_exactly_hermitian(mat)
-    assert row_scalar_types(mat) == {scalar}
+    assert row_scalar_types(mat) == {Fraction}
+    assert len(elimination_rows(mat)) == (2 if field is G else 1) * 8
     assert _one_by_one_rows(mat) == [0, 3, 7]
     got = exact_inertia(mat)
     assert got == dense_elimination_inertia(mat) == charpoly_inertia(mat) == Inertia(4, 1, 3)
@@ -533,7 +543,8 @@ def test_two_by_two_blocks_are_settled_by_their_determinant(monkeypatch, a, c, b
     mat[3][3], mat[1][1] = G(a), G(c)
     mat[3][1], mat[1][3] = b, b.conjugate()
     assert is_exactly_hermitian(mat)
-    assert row_scalar_types(mat) == ({Fraction} if phase == 1 else {G})
+    assert row_scalar_types(mat) == {Fraction}
+    assert len(elimination_rows(mat)) == (1 if phase == 1 else 2) * 4
     calls = _spy_elimination(monkeypatch)
     got = exact_inertia(mat)
     assert got == dense_elimination_inertia(mat) == charpoly_inertia(mat)
@@ -680,3 +691,55 @@ def test_a_family_pt_loads_and_certifies_with_no_gaussian_rational(monkeypatch):
     # the exact build makes one per ket coefficient and weight, none per cell
     rho = build_exact("arr13_xiii")
     assert 0 < len(made) <= 12 < rho.re.size
+
+
+def complex_wishart_pt(seed: int, m: int, n: int, rank: int) -> ExactMatrix:
+    """The exact PT of the state R R^dagger, R an (m n) x rank matrix of
+    Gaussian integers with parts in -3..3 drawn from seed."""
+    xr, xi = np.random.default_rng(seed).integers(-3, 4, size=(2, m * n, rank))
+    return pt_array(ExactMatrix(xr @ xr.T + xi @ xi.T, xi @ xr.T - xr @ xi.T, 1), m, n)
+
+
+def _spy_rows(monkeypatch) -> list:
+    """Record the rows each exact_inertia call hands to its elimination."""
+    seen = []
+    rows_of = exact._elimination_rows
+    monkeypatch.setattr(exact, "_elimination_rows",
+                        lambda *args: seen.append(rows_of(*args)) or seen[-1])
+    return seen
+
+
+@pytest.mark.parametrize("em", [
+    as_exact_matrix([[1, 1, 0], [1, 1, G(1, 1)], [0, G(1, -1), 1]]),
+    complex_wishart_pt(3, 3, 4, 6),
+], ids=["coupled_3x3_block", "wishart_3x4_pt"])
+def test_complex_rows_are_eliminated_with_no_gaussian_rational(monkeypatch, em):
+    want = dense_elimination_inertia(exact_cells(em))
+    seen = _spy_rows(monkeypatch)
+    made = []
+    init = G.__init__
+    monkeypatch.setattr(G, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    assert exact_inertia(em) == want
+    assert made == []
+    # every row reaches the elimination, as rows i and i + d of the embedding
+    assert [set(rows) for rows in seen] == [set(range(2 * len(em)))]
+
+
+@pytest.mark.parametrize("seed, m, n, rank", [
+    (5, 3, 4, 12), (6, 2, 6, 4), (7, 3, 6, 18), (8, 3, 6, 7), (9, 2, 9, 10),
+])
+def test_dense_complex_pts_past_the_hypothesis_sizes_match_the_oracles(seed, m, n, rank):
+    gamma = complex_wishart_pt(seed, m, n, rank)
+    assert gamma.im.any()
+    got = exact_inertia(gamma)
+    assert got == dense_elimination_inertia(exact_cells(gamma))
+    float_ine, marginal = inertia_of(gamma.float_view(), with_flag=True)
+    assert marginal or float_ine == got
+
+
+def test_a_dense_complex_matrix_of_low_rank_keeps_its_zero_count():
+    # X diag(-1 x 5, +1 x 6) X^dagger with X an 18 x 11 Gaussian-integer matrix
+    xr, xi = np.random.default_rng(11).integers(-3, 4, size=(2, 18, 11))
+    s = np.array([-1] * 5 + [1] * 6)
+    mat = ExactMatrix((xr * s) @ xr.T + (xi * s) @ xi.T, (xi * s) @ xr.T - (xr * s) @ xi.T, 1)
+    assert exact_inertia(mat) == dense_elimination_inertia(exact_cells(mat)) == Inertia(5, 7, 6)

@@ -70,6 +70,9 @@ def test_mixed_file_loses_exactness():
     ("2 0 0\n1 nan\n0\n", r"^row 0, column 1: non-finite entry 'nan'$"),
     ("2 0 0\n1\n0 nan\n", r"^row 0 has 1 entries, expected 2$"),
     ("2 0 0\n1/0 1\n0\n", r"^cannot parse matrix entry '1/0'$"),
+    # header fields are ASCII digits, which int() alone does not require
+    ("\u0662 0 0\n1 0\n0 1\n", r"^header must be 'dim m n' integers, got '\u0662 0 0'$"),
+    ("2 0 0_0\n1 0\n0 1\n", r"^header must be 'dim m n' integers, got '2 0 0_0'$"),
 ])
 def test_malformed_files_raise(text, message):
     with pytest.raises(ValueError, match=message):
