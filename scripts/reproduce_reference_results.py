@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """One-shot reproduction of the headline results.
 
-Re-verifies the whole catalog (float + exact), prints the 3x3 realized /
-forbidden / open report, the 2x3 -> 3x3 relationship table, and the 3xN
-family counts for n = 3, 4.
+Re-verifies the whole catalog (float + exact) and prints the 3x3 realized /
+forbidden / open report, both through the CLI (``ptinertia catalog verify
+--all`` and ``ptinertia table --dims 3 3``), so their lines are the CLI's and
+PTINERTIA_TOL_ZERO sets their zero band as it does there.  Then prints the
+2x3 -> 3x3 relationship table and the 3xN family counts for n = 3, 4, which
+no command prints.  Exits 1 when either command exits nonzero.
 """
 
 import sys
@@ -11,24 +14,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ptinertia import inertia_table, lemma3n_family, table1_report, verify_all
+from ptinertia import cli, lemma3n_family, table1_report
 
 
 def main() -> int:
-    failures = 0
     print("== catalog ==")
-    for result in verify_all():
-        exact_s = str(result.exact_inertia) if result.exact_inertia else "-"
-        status = "PASS" if result.passed else "FAIL"
-        failures += not result.passed
-        print(f"{result.entry_id:12s} expected={result.expected} "
-              f"float={result.float_inertia} exact={exact_s} {status}")
+    # the exit statuses of the two commands count as the failures
+    failures = cli.main(["catalog", "verify", "--all"])
 
     print("\n== 3x3 inertia sets ==")
-    report = inertia_table(3, 3)
-    print(f"realized {len(report.realized)}: {sorted(report.realized)}")
-    print(f"forbidden {len(report.forbidden)}: {sorted(report.forbidden)}")
-    print(f"open {len(report.open)}: {sorted(report.open)}")
+    failures += cli.main(["table", "--dims", "3", "3"])
 
     print("\n== 2x3 -> 3x3 table ==")
     for source, edges in table1_report().items():

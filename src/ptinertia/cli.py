@@ -147,7 +147,8 @@ def cmd_verify_ew(args) -> int:
     if not mf.bipartite:
         raise ValueError("witness check needs a bipartite header")
     state = State(mf.m, mf.n, mf.mat)
-    inertia_line = f"inertia {_fmt(pt_inertia(state, args.tol))}"
+    # the triple is_witness decides on: the PT inertia of the trace-normalized state
+    inertia_line = f"inertia {_fmt(pt_inertia(state.normalized(), args.tol))}"
     try:
         w = witness.is_witness(state, args.tol, exact=mf.exact)
     except witness.NotAWitness as exc:

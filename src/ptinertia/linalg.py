@@ -6,7 +6,9 @@ herm_eig also takes a (k, d, d) stack, solved by one eigh call and checked
 matrix by matrix under the same rules; catalog.lemma3n_family verifies the
 rows of each chain seed with one such validated eigensolve.
 The zero-band rule is written once, in zero_band; every caller that sorts
-eigenvalues into zero and nonzero asks it or spectrum_inertia.
+eigenvalues into zero and nonzero asks it or spectrum_inertia.  Hermiticity
+is checked once, in require_hermitian, which returns max|M_ij|: herm_eig
+scales its residual bound by max(1, max|M_ij|) from that value.
 """
 
 from __future__ import annotations
@@ -49,14 +51,6 @@ def max_abs(mat: np.ndarray) -> float | np.ndarray:
     return np.abs(mat).max(axis=(-2, -1), initial=0.0)
 
 
-def hermiticity_defect(mat: np.ndarray) -> float | np.ndarray:
-    """Largest entrywise deviation of M from its conjugate transpose (per matrix)."""
-    # M^H copied to C order first: numpy subtracts a stack from its own
-    # transposed view about twice as slowly as from a copy
-    diff = mat.conj().swapaxes(-2, -1).copy()
-    return max_abs(np.subtract(mat, diff, out=diff))
-
-
 def _first_failure(ok: np.bool_ | np.ndarray) -> tuple | None:
     """Index of the first matrix whose check failed, or None if none did.
 
@@ -72,8 +66,14 @@ def _stack_index(at: tuple) -> str:
     return f"stack index {at[0]}: " if at else ""
 
 
-def _hermitian_scales(mat: np.ndarray):
-    """require_hermitian's checks; returns max|M_ij| and max(1, max|M_ij|)."""
+def require_hermitian(mat: np.ndarray) -> float | np.ndarray:
+    """max|M_ij| of a square Hermitian M, or an array of it for a (k, d, d) stack.
+
+    A non-square M, one with a NaN or infinite entry, or one with asymmetry
+    above TOL_HERM * max(1, max|M_ij|) raises ValueError.  Each matrix of a
+    stack is held to the same rules, and the message names the stack index
+    of the first one that breaks one.
+    """
     mat = np.asarray(mat)
     if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
         raise ValueError(f"expected a square matrix or a (k, d, d) stack, got shape {mat.shape}")
@@ -85,25 +85,16 @@ def _hermitian_scales(mat: np.ndarray):
         i, j = np.argwhere(~np.isfinite(mat[at]))[0].tolist()
         raise ValueError(f"{_stack_index(at)}matrix entry ({i},{j}) is not finite: "
                          f"{mat[at][i, j]}")
-    defect = hermiticity_defect(mat)
-    unit = np.maximum(1.0, scale)
-    bound = TOL_HERM * unit
+    # M^H copied to C order first: numpy subtracts a stack from its own
+    # transposed view about twice as slowly as from a copy
+    diff = mat.conj().swapaxes(-2, -1).copy()
+    defect = max_abs(np.subtract(mat, diff, out=diff))
+    bound = TOL_HERM * np.maximum(1.0, scale)
     at = _first_failure(defect <= bound)
     if at is not None:
         raise ValueError(f"{_stack_index(at)}matrix is not Hermitian: "
                          f"max asymmetry {defect[at]:.3e} exceeds {bound[at]:.3e}")
-    return scale, unit
-
-
-def require_hermitian(mat: np.ndarray) -> float | np.ndarray:
-    """max|M_ij| of a square Hermitian M, or an array of it for a (k, d, d) stack.
-
-    A non-square M, one with a NaN or infinite entry, or one with asymmetry
-    above TOL_HERM * max(1, max|M_ij|) raises ValueError.  Each matrix of a
-    stack is held to the same rules, and the message names the stack index
-    of the first one that breaks one.
-    """
-    return _hermitian_scales(mat)[0]
+    return scale
 
 
 def herm_eig(mat: np.ndarray) -> EigenDecomposition:
@@ -115,7 +106,7 @@ def herm_eig(mat: np.ndarray) -> EigenDecomposition:
     require_hermitian) and RuntimeError if the solver fails to converge or
     a reconstruction residual is out of bounds.
     """
-    _, unit = _hermitian_scales(mat)
+    unit = np.maximum(1.0, require_hermitian(mat))
     mat = np.asarray(mat, dtype=complex)
     try:
         values, vectors = np.linalg.eigh(mat)

@@ -32,8 +32,8 @@ the numerators over the lcm of every denominator, with no Fraction or
 GaussianRational per token.  Of several faults in a file the first in
 reading order is reported: a row of the wrong length after every token of
 the rows above it is checked, a non-finite token at the row and column where
-it first appears.  dumps_matrix writes an ExactMatrix cell as its numerators
-over the denominator, each part reduced by a gcd, the text
+it first appears.  dumps_matrix writes each ExactMatrix cell as its
+numerators over the denominator, each part reduced by a gcd: the text
 str(GaussianRational) gives for the same value.
 """
 
@@ -196,18 +196,13 @@ def load_matrix(path) -> MatrixFile:
 
 def _exact_rows(exact: ExactMatrix):
     """Each row of exact as its cells' tokens, each part reduced by its gcd
-    with den; a token is made once per distinct cell."""
+    with den."""
     den = exact.den
-    tokens: dict[tuple[int, int], str] = {}
     for re_row, im_row in zip(exact.re.tolist(), exact.im.tolist()):
         row = []
-        for cell in zip(re_row, im_row):
-            token = tokens.get(cell)
-            if token is None:
-                a, b = cell
-                g, h = math.gcd(a, den), math.gcd(b, den)
-                token = tokens[cell] = entry_token(a // g, den // g, b // h, den // h)
-            row.append(token)
+        for a, b in zip(re_row, im_row):
+            g, h = math.gcd(a, den), math.gcd(b, den)
+            row.append(entry_token(a // g, den // g, b // h, den // h))
         yield row
 
 
@@ -244,20 +239,26 @@ def parse_ket(literal: str, m: int, n: int) -> np.ndarray:
     ``2j``, ``1/2j``), spaces ignored; an omitted coefficient means 1.  A
     ``+`` or ``-`` that does not follow an exponent marker starts a new
     term, so an ``a+bj`` coefficient is refused: ``-1-2j|0,0>`` would read
-    as -(1-2j).  The indices are ASCII digits.  Returns the amplitude
-    vector in the row-major (A-index, B-index) convention.  A term whose
+    as -(1-2j).  The indices are ASCII digits, read by their value at any
+    length: leading zeros are dropped, so ``|00,0>`` is ``|0,0>``, and an
+    index past its dimension raises ValueError, however many digits it
+    has.  Returns the amplitude vector in the row-major (A-index, B-index)
+    convention.  A term whose
     coefficient does not parse (``1/0``) or leaves its amplitude non-finite
     (``inf``, ``nan``, overflow) raises ValueError naming the term.
     """
     if m < 1 or n < 1:
         raise ValueError(f"local dimensions must be >= 1, got ({m},{n})")
     vec = np.zeros(m * n, dtype=complex)
-    matched_spans = []
     for match in _KET_TERM.finditer(literal):
         sign, coef_text, i_s, j_s = match.groups()
-        i, j = int(i_s), int(j_s)
+        i_s, j_s = i_s.lstrip("0") or "0", j_s.lstrip("0") or "0"
+        # int() refuses more than 4300 digits, so an index with more digits
+        # than its dimension is out of range unread
+        i, j = (int(digits) if len(digits) <= len(str(size)) else size
+                for digits, size in ((i_s, m), (j_s, n)))
         if i >= m or j >= n:
-            raise ValueError(f"ket index |{i},{j}> out of range for dims ({m},{n})")
+            raise ValueError(f"ket index |{i_s},{j_s}> out of range for dims ({m},{n})")
         term = match.group(0).strip(" +")
         try:
             # an entry token with its spaces dropped; an omitted coefficient is 1
@@ -268,12 +269,10 @@ def parse_ket(literal: str, m: int, n: int) -> np.ndarray:
         if not cmath.isfinite(amp):
             raise ValueError(f"non-finite amplitude at ket term {term!r}")
         vec[i * n + j] = amp
-        matched_spans.append(match.span())
-    if not matched_spans:
+    # subn drops the same non-overlapping matches that finditer yields
+    leftover, count = _KET_TERM.subn("", literal)
+    if not count:
         raise ValueError(f"no ket terms found in {literal!r}")
-    leftover = literal
-    for start, end in reversed(matched_spans):
-        leftover = leftover[:start] + leftover[end:]
     if leftover.strip(" +"):
         raise ValueError(f"unparsed text in ket literal: {leftover.strip()!r}")
     return vec

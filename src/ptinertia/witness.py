@@ -6,10 +6,11 @@ the canonical decomposable example: for every product vector
 <a,b|rho^Gamma|a,b> = <a*,b|rho|a*,b> >= lambda_min(rho), so the product
 clause follows from rho >= 0 (Peres-Horodecki).  is_witness certifies that
 clause by checking rho >= 0, exactly over Q(i) when an exact view of rho is
-given and against the float zero band otherwise.  min_product_expectation,
-a multi-restart alternating minimiser, is a diagnostic for an arbitrary W
-that decides no verdict; its value is only an upper bound on the product
-minimum.
+given and against the float zero band otherwise; it decides both clauses on
+the trace-normalized state, so a state's scale does not move its verdict.
+min_product_expectation, a multi-restart alternating minimiser, is a
+diagnostic for an arbitrary W that decides no verdict; its value is only an
+upper bound on the product minimum.
 """
 
 from __future__ import annotations
@@ -98,15 +99,18 @@ def is_witness(state: State, tol_zero: float = TOL_ZERO,
                exact: ExactMatrix | None = None) -> Witness:
     """Return the PT of a trace-normalized NPT state as a certified witness.
 
-    The NPT clause needs at least one negative eigenvalue of the PT.  The
-    product clause is certified from rho >= 0: with `exact`, an ExactMatrix
-    of the same rho, by exact_inertia(exact).neg == 0 (certified="exact");
-    otherwise by lambda_min(rho) >= -zero_band(spectrum, tol_zero) on the
-    trace-normalized state (certified="float").  A PPT or non-PSD input
-    raises NotAWitness.
+    Both clauses are decided on rho, the trace-normalized state, so the
+    verdict does not change with the state's scale: the zero band
+    tol_zero * max(1, max|lambda|) has an absolute floor, which a state
+    scaled far below unit trace would fall inside.  The NPT clause needs at
+    least one negative eigenvalue of rho's PT.  The product clause is
+    certified from rho >= 0: with `exact`, an ExactMatrix of the same
+    state, by exact_inertia(exact).neg == 0 (certified="exact"); otherwise
+    by lambda_min(rho) >= -zero_band(spectrum, tol_zero) (certified="float").
+    A PPT or non-PSD input raises NotAWitness.
     """
     rho = state.normalized()
-    ine = pt_inertia(state, tol_zero)
+    ine = pt_inertia(rho, tol_zero)
     if ine.neg < 1:
         raise NotAWitness(f"state is PPT (inertia {ine}); its PT is not a witness")
     # pt_inertia has checked that the PT, and so rho, is Hermitian

@@ -190,6 +190,47 @@ def test_schmidt_refuses_a_dimension_below_one(capsys, dims):
     assert err == f"error: local dimensions must be >= 1, got ({dims[0]},{dims[1]})\n"
 
 
+# the Bell projector (|00>+|11>)(<00|+<11|) times 10^-12, written exactly
+BELL_E12 = "4 2 2\n" + "".join(
+    " ".join("1/1000000000000" if i in (0, 3) and j in (0, 3) else "0" for j in range(4)) + "\n"
+    for i in range(4))
+
+
+@pytest.mark.parametrize("text, argv, code, out, err", [
+    (None, ["search", "--dims", "3", "3", "--alarm", "(1,2)"], 2, "",
+     "error: alarm triple must have three entries: '1,2'\n"),
+    (None, ["search", "--dims", "0", "3"], 2, "",
+     "error: local dimensions must be >= 1, got (0,3)\n"),
+    ("3 0 0\n1 0 0\n0 1e-9 0\n0 0 -1\n", ["inertia", "--file", "{file}"], 0, "1 1 1\n",
+     "# marginal spectrum: an eigenvalue sits near the zero threshold\n"),
+    ("4 2 2\n" + "0 0 0 0\n" * 4, ["verify-ew", "--file", "{file}"], 2, "",
+     "error: state has non-positive trace\n"),
+    # the verdict is the trace-normalized state's, whatever the file's scale
+    (BELL_E12, ["verify-ew", "--file", "{file}"], 0,
+     "inertia 1 0 3\ncertified exact\nPASS\n", ""),
+], ids=["alarm-pair", "search-dims-0", "marginal", "zero-state", "bell-1e-12"])
+def test_a_command_prints_its_pinned_text(tmp_path, capsys, monkeypatch, text, argv, code,
+                                          out, err):
+    monkeypatch.delenv("PTINERTIA_TOL_ZERO", raising=False)
+    path = tmp_path / "m.txt"
+    if text is not None:
+        path.write_text(text)
+    assert run(capsys, *(a.format(file=path) for a in argv)) == (code, out, err)
+
+
+def test_a_ket_index_is_read_by_its_value_at_any_length(capsys):
+    # int() refuses more than 4300 digits; leading zeros keep their meaning
+    zeros = "0" * 5000
+    code, out, err = run(capsys, "schmidt", "--ket", f"1|{zeros},0> + 1|1,1>",
+                         "--dims", "2", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["rank 2", "coefficients 1 1"]
+    code, out, err = run(capsys, "schmidt", "--ket", f"1|1{zeros},0> + 1|1,1>",
+                         "--dims", "2", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: ket index |1{zeros},0> out of range for dims (2,2)\n"
+
+
 def test_catalog_verify_all_passes(capsys):
     code, out, _ = run(capsys, "catalog", "verify", "--all")
     assert code == 0

@@ -73,6 +73,7 @@ def test_mixed_file_loses_exactness():
     # header fields are ASCII digits, which int() alone does not require
     ("\u0662 0 0\n1 0\n0 1\n", r"^header must be 'dim m n' integers, got '\u0662 0 0'$"),
     ("2 0 0_0\n1 0\n0 1\n", r"^header must be 'dim m n' integers, got '2 0 0_0'$"),
+    ("0 0 0\n", r"^matrix dimension must be positive$"),
 ])
 def test_malformed_files_raise(text, message):
     with pytest.raises(ValueError, match=message):

@@ -66,6 +66,17 @@ def test_is_witness_rejects_ppt():
         is_witness(dm_from_kets([psi], [1], 2, 2))
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_is_witness_verdict_does_not_depend_on_the_state_scale(scale):
+    # below unit trace the PT's -scale eigenvalue falls inside the zero band's
+    # absolute floor, so only the trace-normalized state shows it
+    phi = ket_vector(2, 2, [(1, 0, 0), (1, 1, 1)])
+    bell = np.outer(phi, phi.conj())
+    w = is_witness(State(2, 2, scale * bell))
+    assert w.certified == "float"
+    assert np.allclose(w.mat, partial_transpose(State(2, 2, bell / 2)))
+
+
 def test_separable_mixtures_have_nonnegative_product_minimum(rng):
     for _ in range(5):
         kets = []
