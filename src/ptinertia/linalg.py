@@ -21,7 +21,7 @@ import numpy as np
 
 # Default relative tolerance for classifying an eigenvalue as zero.
 TOL_ZERO = 1e-9
-# Hermiticity acceptance tolerance (relative to the largest entry).
+# Hermiticity acceptance tolerance (relative to the largest entry, no floor).
 TOL_HERM = 1e-12
 # Validation bound for eigendecomposition residuals.
 TOL_RESID = 1e-10
@@ -70,9 +70,11 @@ def require_hermitian(mat: np.ndarray) -> float | np.ndarray:
     """max|M_ij| of a square Hermitian M, or an array of it for a (k, d, d) stack.
 
     A non-square M, one with a NaN or infinite entry, or one with asymmetry
-    above TOL_HERM * max(1, max|M_ij|) raises ValueError.  Each matrix of a
-    stack is held to the same rules, and the message names the stack index
-    of the first one that breaks one.
+    above TOL_HERM * max|M_ij| raises ValueError.  The bound has no absolute
+    floor, so a tiny matrix is held to the same relative rule as any other
+    (an all-zero one passes).  Each matrix of a stack is held to the same
+    rules, and the message names the stack index of the first one that
+    breaks one.
     """
     mat = np.asarray(mat)
     if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
@@ -89,7 +91,7 @@ def require_hermitian(mat: np.ndarray) -> float | np.ndarray:
     # transposed view about twice as slowly as from a copy
     diff = mat.conj().swapaxes(-2, -1).copy()
     defect = max_abs(np.subtract(mat, diff, out=diff))
-    bound = TOL_HERM * np.maximum(1.0, scale)
+    bound = TOL_HERM * scale
     at = _first_failure(defect <= bound)
     if at is not None:
         raise ValueError(f"{_stack_index(at)}matrix is not Hermitian: "

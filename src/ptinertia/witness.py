@@ -7,7 +7,8 @@ the canonical decomposable example: for every product vector
 clause follows from rho >= 0 (Peres-Horodecki).  is_witness certifies that
 clause by checking rho >= 0, exactly over Q(i) when an exact view of rho is
 given and against the float zero band otherwise; it decides both clauses on
-the trace-normalized state, so a state's scale does not move its verdict.
+the trace-normalized state, so a state's scale does not move its verdict,
+and hands back the PT inertia it decided on with the verdict either way.
 min_product_expectation, a multi-restart alternating minimiser, is a
 diagnostic for an arbitrary W that decides no verdict; its value is only an
 upper bound on the product minimum.
@@ -21,8 +22,9 @@ from typing import Literal
 import numpy as np
 
 from .exact import ExactMatrix, exact_inertia
-from .inertia import pt_inertia
-from .linalg import TOL_RESID, TOL_ZERO, herm_eig, max_abs, require_hermitian, zero_band
+from .inertia import inertia_of
+from .linalg import (TOL_RESID, TOL_ZERO, Inertia, herm_eig, max_abs, require_hermitian,
+                     zero_band)
 from .states import State, partial_transpose
 
 DEFAULT_RESTARTS = 50
@@ -30,7 +32,14 @@ ITER_CAP = 500
 
 
 class NotAWitness(ValueError):
-    """is_witness's verdict on a valid call: this state's PT is not a witness."""
+    """is_witness's verdict on a valid call: this state's PT is not a witness.
+
+    `inertia` is the PT inertia of the trace-normalized state it decided on.
+    """
+
+    def __init__(self, message: str, inertia: Inertia):
+        super().__init__(message)
+        self.inertia = inertia
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,7 @@ class Witness:
     n: int
     mat: np.ndarray
     certified: Literal["exact", "float"]
+    inertia: Inertia
 
 
 def _random_unit(rng, dim: int) -> np.ndarray:
@@ -107,13 +117,17 @@ def is_witness(state: State, tol_zero: float = TOL_ZERO,
     certified from rho >= 0: with `exact`, an ExactMatrix of the same
     state, by exact_inertia(exact).neg == 0 (certified="exact"); otherwise
     by lambda_min(rho) >= -zero_band(spectrum, tol_zero) (certified="float").
-    A PPT or non-PSD input raises NotAWitness.
+    The exact view must match the state's matrix to within
+    TOL_RESID * max|rho_ij|, with no absolute floor.  A PPT or non-PSD input
+    raises NotAWitness.  The returned Witness holds rho's PT as `mat` and
+    its inertia as `inertia`; a NotAWitness carries that inertia too.
     """
     rho = state.normalized()
-    ine = pt_inertia(rho, tol_zero)
+    gamma = partial_transpose(rho)
+    ine = inertia_of(gamma, tol_zero)
     if ine.neg < 1:
-        raise NotAWitness(f"state is PPT (inertia {ine}); its PT is not a witness")
-    # pt_inertia has checked that the PT, and so rho, is Hermitian
+        raise NotAWitness(f"state is PPT (inertia {ine}); its PT is not a witness", ine)
+    # inertia_of has checked that the PT, and so rho, is Hermitian
     values = np.linalg.eigvalsh(rho.mat)
     if exact is None:
         certified = "float"
@@ -122,10 +136,10 @@ def is_witness(state: State, tol_zero: float = TOL_ZERO,
         certified = "exact"
         if exact.shape != state.mat.shape or (
                 max_abs(exact.float_view() - state.mat)
-                > TOL_RESID * max(1.0, max_abs(state.mat))):
+                > TOL_RESID * max_abs(state.mat)):
             raise ValueError("exact view does not match the state's matrix")
         psd = exact_inertia(exact).neg == 0
     if not psd:
         raise NotAWitness(f"state is not PSD ({certified} check, smallest eigenvalue "
-                          f"{values[0]:.3e}); its PT is not a witness")
-    return Witness(state.m, state.n, partial_transpose(rho), certified)
+                          f"{values[0]:.3e}); its PT is not a witness", ine)
+    return Witness(state.m, state.n, gamma, certified, ine)

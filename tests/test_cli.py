@@ -674,3 +674,45 @@ def test_inertia_on_a_non_integer_header_quotes_the_header(tmp_path, capsys):
     code, out, err = run(capsys, "inertia", "--file", str(path))
     assert (code, out) == (2, "")
     assert err == "error: header must be 'dim m n' integers, got '2 x 0'\n"
+
+
+@pytest.mark.parametrize("text, code, out, err", [
+    ("2 0 0\n0 1e-13\n0 0\n", 2, "",
+     "error: matrix is not Hermitian: max asymmetry 1.000e-13 exceeds 1.000e-25\n"),
+    ("2 0 0\n0 0\n0 0\n", 0, "0 2 0\n", ""),
+], ids=["tiny-asymmetry", "all-zero"])
+def test_inertia_holds_a_tiny_matrix_to_the_relative_hermitian_bound(tmp_path, capsys,
+                                                                      monkeypatch, text,
+                                                                      code, out, err):
+    monkeypatch.delenv("PTINERTIA_TOL_ZERO", raising=False)
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    assert run(capsys, "inertia", "--file", str(path)) == (code, out, err)
+
+
+EYE_2X2 = "4 2 2\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+
+
+@pytest.mark.parametrize("text, code, out", [
+    (None, 0, "inertia 1 5 3\ncertified exact\nPASS\n"),
+    (EYE_2X2, 1, "inertia 0 0 4\nFAIL\n"),
+], ids=["arr13_vi", "identity"])
+def test_verify_ew_makes_one_eigendecomposition(tmp_path, capsys, monkeypatch, text, code,
+                                                out):
+    # the inertia line is the triple is_witness decided on, not a second solve
+    monkeypatch.delenv("PTINERTIA_TOL_ZERO", raising=False)
+    path = tmp_path / "s.txt"
+    if text is None:
+        run(capsys, "catalog", "dump", "arr13_vi", "--out", str(path))
+    else:
+        path.write_text(text)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert run(capsys, "verify-ew", "--file", str(path))[:2] == (code, out)
+    assert len(calls) == 1

@@ -156,3 +156,35 @@ def test_is_witness_verdicts_are_not_a_witness_errors():
         is_witness(dm_from_kets([ket_vector(2, 2, [(1, 0, 0)])], [1], 2, 2))
     with pytest.raises(NotAWitness, match="not PSD"):
         is_witness(State(2, 2, loads_matrix(NON_STATE).mat))
+
+
+@pytest.mark.parametrize("eid", entry_ids())
+def test_is_witness_returns_the_pt_inertia_it_decided_on(eid):
+    state = build(eid)
+    w = is_witness(state)
+    assert w.inertia == pt_inertia(state.normalized())
+    assert np.array_equal(w.mat, partial_transpose(state.normalized()))
+
+
+@pytest.mark.parametrize("state, inertia, message", [
+    (dm_from_kets([ket_vector(2, 2, [(1, 0, 0)])], [1], 2, 2), (0, 3, 1),
+     "state is PPT (inertia (0,3,1)); its PT is not a witness"),
+    (State(2, 2, loads_matrix(NON_STATE).mat), (1, 0, 3),
+     "state is not PSD (float check, smallest eigenvalue -3.333e-01); "
+     "its PT is not a witness"),
+], ids=["ppt", "non-psd"])
+def test_a_not_a_witness_verdict_carries_the_inertia_it_decided_on(state, inertia, message):
+    with pytest.raises(NotAWitness) as caught:
+        is_witness(state)
+    assert caught.value.inertia == inertia
+    assert str(caught.value) == message
+
+
+def test_an_exact_view_must_match_a_state_far_below_unit_trace():
+    # the match is relative to max|rho_ij|: an absolute floor of 1e-10 let
+    # I/10^11 pass as the exact view of the Bell projector times 10^-12
+    phi = ket_vector(2, 2, [(1, 0, 0), (1, 1, 1)])
+    bell = np.outer(phi, phi.conj())
+    other = ExactMatrix(np.eye(4, dtype=np.int64), np.zeros((4, 4), dtype=np.int64), 10**11)
+    with pytest.raises(ValueError, match="^exact view does not match the state's matrix$"):
+        is_witness(State(2, 2, 1e-12 * bell), exact=other)
