@@ -1,17 +1,15 @@
 """Registry of reference state families with certified PT inertias.
 
-Every entry is a weighted ket mixture, so each family can be rebuilt both in
-floating point and (for rational data) in exact Gaussian-rational arithmetic.
-The float build makes each ket with states.ket_vector.  The exact one is an
-ExactMatrix, whose PT is the same states.pt_array the float route takes: it
-reads each ket's terms into a map of its support and adds each weighted
-projector there, as Gaussian-integer numerators over one common denominator
-fixed before the sum, which go straight into the ExactMatrix's two arrays.
-Parameters must be numbers with a finite complex value.
-verify() recomputes the inertia through both routes and compares against the
-entry's expected rule; a handful of families whose conventional printed forms
-do not reproduce their advertised inertia are realized through verified
-substitute constructions, documented in their notes.
+Every entry is a weighted ket mixture with one build: build_exact reads each
+coefficient and weight exactly (_exact) and adds each weighted projector on
+its ket's support, as Gaussian-integer numerators over one common
+denominator fixed before the sum, straight into an ExactMatrix's two arrays.
+build is that matrix's float view, and verify() compares the float and the
+exact inertia of its PT (states.pt_array of either) with the entry's
+expected rule.  Parameters must be numbers with a finite complex value.  A
+handful of families whose conventional printed forms do not reproduce their
+advertised inertia are realized through verified substitute constructions,
+documented in their notes.
 """
 
 from __future__ import annotations
@@ -84,15 +82,11 @@ class VerifyResult:
     expected: Inertia
     float_inertia: Inertia
     marginal: bool
-    exact_inertia: Inertia | None
+    exact_inertia: Inertia
 
     @property
     def passed(self) -> bool:
-        if self.float_inertia != self.expected:
-            return False
-        if self.exact_inertia is not None and self.exact_inertia != self.expected:
-            return False
-        return True
+        return self.float_inertia == self.expected == self.exact_inertia
 
 
 def _const(triple) -> Callable[[dict], Inertia]:
@@ -432,52 +426,54 @@ def _merge_params(entry: CatalogEntry, overrides: dict) -> dict:
 
 
 def build(entry_id: str, **overrides) -> State:
-    """Instantiate a catalog family as a float State.
-
-    A weight with a nonzero imaginary part is refused, named as written.
-    """
-    entry = get_entry(entry_id)
-    terms = entry.terms(_merge_params(entry, overrides))
-    weights = []
-    for w, _ in terms:
-        z = complex(w)
-        if z.imag:
-            raise ValueError(f"weights must be real, got {w!r}")
-        weights.append(z.real)
-    return dm_from_kets([ket_vector(*entry.dims, ket) for _, ket in terms],
-                        weights, *entry.dims)
+    """A catalog family as a float State: the float view of build_exact."""
+    m, n = get_entry(entry_id).dims
+    return State(m, n, build_exact(entry_id, **overrides).float_view())
 
 
-def build_exact(entry_id: str, **overrides) -> ExactMatrix | None:
-    """Exact Gaussian-rational build, or None when parameters are irrational.
+def _exact(value) -> GaussianRational:
+    """An int, Fraction or GaussianRational as it is; any other number as the
+    binary fractions of its complex() parts, the values float arithmetic uses."""
+    if isinstance(value, (int, Fraction, GaussianRational)):
+        return GaussianRational.coerce(value)
+    z = complex(value)
+    return GaussianRational(Fraction(z.real), Fraction(z.imag))
 
-    ``.float_view()`` equals build(...).mat where float arithmetic is exact.
+
+def build_exact(entry_id: str, **overrides) -> ExactMatrix:
+    """Exact Gaussian-rational build, every coefficient and weight read by _exact.
+
+    A weight with a nonzero imaginary part (named as written) or one that is
+    not positive is refused.
     """
     entry = get_entry(entry_id)
     params = _merge_params(entry, overrides)
     m, n = entry.dims
     kets = []  # (weight, {index: amplitude}) over each ket's support
-    try:
-        for weight, terms in entry.terms(params):
-            support: dict[int, GaussianRational] = {}
-            for coef, i, j in terms:
-                if not (0 <= i < m and 0 <= j < n):
-                    raise ValueError(f"ket index ({i},{j}) out of range for dims ({m},{n})")
-                x, k = GaussianRational.coerce(coef), i * n + j
-                support[k] = support[k] + x if k in support else x
-            kets.append((GaussianRational.coerce(weight), support))
-    except TypeError:
-        return None
-    if any(w.im != 0 or w.re <= 0 for w, _ in kets):
-        return None  # weights must be positive rationals
+    for weight, terms in entry.terms(params):
+        w = _exact(weight)
+        if w.im:
+            raise ValueError(f"weights must be real, got {weight!r}")
+        support: dict[int, GaussianRational] = {}
+        for coef, i, j in terms:
+            if not (0 <= i < m and 0 <= j < n):
+                raise ValueError(f"ket index ({i},{j}) out of range for dims ({m},{n})")
+            x, k = _exact(coef), i * n + j
+            support[k] = support[k] + x if k in support else x
+        kets.append((w.re, support))
+    if not kets:
+        raise ValueError("at least one ket is required")
+    for w, _ in kets:
+        if w <= 0:
+            raise ValueError(f"weights must be positive, got {float(w)}")
     # sum w|psi><psi| as Gaussian-integer numerators over den = amp_den^2 * weight_den
     amp_den = math.lcm(*(part.denominator for _, support in kets
                          for x in support.values() for part in (x.re, x.im)))
-    weight_den = math.lcm(*(w.re.denominator for w, _ in kets))
+    weight_den = math.lcm(*(w.denominator for w, _ in kets))
     d = m * n
     acc: dict[int, list[int]] = {}  # cell r * d + c: [re, im]
     for w, support in kets:
-        factor = w.re.numerator * (weight_den // w.re.denominator)
+        factor = w.numerator * (weight_den // w.denominator)
         ints = [(k, x.re.numerator * (amp_den // x.re.denominator),
                  x.im.numerator * (amp_den // x.im.denominator)) for k, x in support.items()]
         for r, ar, ai in ints:
@@ -500,19 +496,16 @@ def expected_inertia(entry_id: str, **overrides) -> Inertia:
 
 
 def verify(entry_id: str, tol_zero: float = TOL_ZERO, **overrides) -> VerifyResult:
-    """Rebuild one family and compare float (and exact, if available) inertia."""
+    """Build one family once; compare its float and exact PT inertia."""
     entry = get_entry(entry_id)
     params = _merge_params(entry, overrides)
     expected = entry.expected(params)
-    state = build(entry_id, **overrides)
-    got, marginal = pt_inertia(state, tol_zero, with_flag=True)
     exact_mat = build_exact(entry_id, **overrides)
-    got_exact = None
-    if exact_mat is not None:
-        got_exact = exact_inertia(pt_array(exact_mat, *entry.dims))
+    got, marginal = pt_inertia(State(*entry.dims, exact_mat.float_view()), tol_zero,
+                               with_flag=True)
     return VerifyResult(entry_id=entry_id, params=params, expected=expected,
                         float_inertia=got, marginal=marginal,
-                        exact_inertia=got_exact)
+                        exact_inertia=exact_inertia(pt_array(exact_mat, *entry.dims)))
 
 
 def verify_all(tol_zero: float = TOL_ZERO) -> list[VerifyResult]:

@@ -108,17 +108,15 @@ def cmd_catalog_list(args) -> int:
 def cmd_catalog_verify(args) -> int:
     results = [catalog.verify(args.id, args.tol)] if args.id else catalog.verify_all(args.tol)
     for result in results:
-        exact_s = _fmt(result.exact_inertia) if result.exact_inertia else "-"
         status = "PASS" if result.passed else "FAIL"
         print(f"{result.entry_id} expected={_fmt(result.expected)} "
-              f"float={_fmt(result.float_inertia)} exact={exact_s} {status}")
+              f"float={_fmt(result.float_inertia)} exact={_fmt(result.exact_inertia)} {status}")
     return 0 if all(result.passed for result in results) else 1
 
 
 def cmd_catalog_dump(args) -> int:
-    state = catalog.build(args.id)
     exact = catalog.build_exact(args.id)
-    _write_matrix(args.out, state.mat, state.m, state.n, exact)
+    _write_matrix(args.out, exact.float_view(), *catalog.get_entry(args.id).dims, exact)
     return 0
 
 

@@ -59,13 +59,13 @@ class State:
 
 
 def validate_state(state: State) -> None:
-    """Check Hermiticity, positive trace, and lambda_min >= -1e-10 * max(1, max|rho_ij|)."""
+    """Check Hermiticity, positive trace, and lambda_min >= -1e-10 * max|rho_ij|."""
     scale = require_hermitian(state.mat)
     tr = float(np.real(np.trace(state.mat)))
     if tr <= 0:
         raise ValueError(f"state trace {tr} is not positive")
     lo = float(np.linalg.eigvalsh(state.mat)[0])
-    if lo < -1e-10 * max(1.0, scale):
+    if lo < -1e-10 * scale:
         raise ValueError(f"state has negative eigenvalue {lo:.3e}")
 
 

@@ -27,9 +27,7 @@ THIRTEEN = {
 def test_every_entry_verifies_in_both_modes():
     for result in verify_all():
         assert result.passed, f"{result.entry_id}: {result}"
-        # all defaults are rational, so the exact certification must be present
-        assert result.exact_inertia is not None, result.entry_id
-        assert result.exact_inertia == result.expected
+        assert result.exact_inertia == result.expected, result.entry_id
 
 
 def test_thirteen_families_cover_exactly_the_realizable_set():
@@ -233,8 +231,8 @@ DYADIC_POINTS = [
 @pytest.mark.parametrize("entry_id, params",
                          [(e, {}) for e in entry_ids()] + DYADIC_POINTS)
 def test_float_build_is_the_float_view_of_the_exact_build(entry_id, params):
-    # equality is exact at every default and wherever float arithmetic on
-    # the data is exact (dyadic rationals)
+    # build is the float view of build_exact, at every default and every
+    # dyadic point; the int64 path holds wherever the denominators are small
     exact = build_exact(entry_id, **params)
     assert type(exact) is ExactMatrix and exact.re.dtype == exact.im.dtype == np.int64
     assert np.array_equal(build(entry_id, **params).mat, exact.float_view())
@@ -244,12 +242,12 @@ def test_float_build_is_the_float_view_of_the_exact_build(entry_id, params):
                           partial_transpose(build(entry_id, **params)))
 
 
-def test_float_build_rounds_per_term_at_non_dyadic_points():
-    # 1/5 and 3/7 are not binary fractions: the float build rounds every
-    # product, the exact build rounds once, so they may differ in the last bit
+def test_float_build_is_the_exact_build_rounded_once_at_non_dyadic_points():
+    # 1/5 and 3/7 are not binary fractions: the float build is the exact
+    # matrix rounded once per cell, with no rounding per term before it
     params = {"a": Fraction(2, 3), "b": Fraction(1, 5), "e": Fraction(3, 7)}
-    diff = build("npt2_ivc", **params).mat - build_exact("npt2_ivc", **params).float_view()
-    assert np.abs(diff).max() <= 4 * np.finfo(float).eps
+    assert np.array_equal(build("npt2_ivc", **params).mat,
+                          build_exact("npt2_ivc", **params).float_view())
 
 
 def _exact_kets(entry, params):
@@ -378,15 +376,19 @@ def test_a_ket_index_outside_the_dims_is_refused_by_both_builds(i, j):
 def test_a_weight_that_is_not_positive_is_refused(weight):
     with pytest.MonkeyPatch.context() as mp:
         entry_id = _registered(mp, (2, 2), [(1, [(1, 0, 0)]), (weight, [(1, 1, 1)])])
-        with pytest.raises(ValueError, match="weights must be positive"):
-            build(entry_id)
-        assert build_exact(entry_id) is None
+        for call in (build, build_exact):
+            with pytest.raises(ValueError) as info:
+                call(entry_id)
+            assert str(info.value) == f"weights must be positive, got {float(weight)}"
 
 
 def test_a_gaussian_weight_has_no_exact_build():
     with pytest.MonkeyPatch.context() as mp:
         entry_id = _registered(mp, (2, 2), [(GaussianRational(1, 1), [(1, 0, 0)])])
-        assert build_exact(entry_id) is None
+        for call in (build, build_exact):
+            with pytest.raises(ValueError) as info:
+                call(entry_id)
+            assert str(info.value) == "weights must be real, got GaussianRational(1, 1)"
 
 
 @pytest.mark.parametrize("weight, written", [
@@ -453,10 +455,22 @@ def test_catalog_dump_bytes_are_pinned(capsys, entry_id):
     assert hashlib.sha256(out.encode()).hexdigest() == DUMP_SHA256[entry_id]
 
 
-@pytest.mark.parametrize("entry_id, params", [
-    ("ex11", {"a": 0.5}),
-    ("npt2_ivc", {"e": 1j}),
-    ("npt2_iva", {"a": 1, "b": 0.25}),
+@pytest.mark.parametrize("entry_id, params, exact_params", [
+    ("ex11", {"a": 0.5}, {"a": Fraction(1, 2)}),
+    ("npt2_ivc", {"e": 1j}, {"e": GaussianRational(0, 1)}),
+    ("npt2_iva", {"a": 1, "b": 0.25}, {"a": 1, "b": Fraction(1, 4)}),
 ])
-def test_irrational_parameters_give_no_exact_build(entry_id, params):
-    assert build_exact(entry_id, **params) is None
+def test_float_parameters_build_exactly_as_their_binary_fractions(entry_id, params,
+                                                                 exact_params):
+    assert (exact_cells(build_exact(entry_id, **params))
+            == exact_cells(build_exact(entry_id, **exact_params)))
+
+
+def test_a_non_dyadic_float_parameter_is_certified_exactly():
+    # 0.1 and 0.3 are read as their binary fractions, over 2^55 and 2^54, so
+    # the common denominator is 2^110 and the numerators are Python ints
+    rho = build_exact("ex11", a=0.1, b=0.3)
+    assert rho.den == 2 ** 110 and rho.re.dtype == object
+    result = verify("ex11", a=0.1, b=0.3)
+    assert result.passed
+    assert result.float_inertia == result.exact_inertia == Inertia(3, 0, 6)

@@ -120,6 +120,15 @@ def test_dm_matches_entrywise_oracle(rng):
     validate_state(state)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_validate_state_bounds_lambda_min_relative_to_the_entries(scale):
+    # no absolute floor: a matrix scaled far below unit trace is judged as itself
+    with pytest.raises(ValueError, match="state has negative eigenvalue"):
+        validate_state(State(2, 2, scale * np.diag([1, 1, 1, -0.5])))
+    # a PSD state with a kernel, whose zero eigenvalues eigvalsh rounds either way
+    validate_state(State(2, 2, scale * np.outer(bell(2, 2), bell(2, 2).conj())))
+
+
 def test_dm_rejects_bad_input():
     with pytest.raises(ValueError):
         dm_from_kets([np.ones(4)], [1.0], 2, 3)
