@@ -31,3 +31,14 @@ code=0; ptinertia verify-ew --file "$RUNNER_TEMP/eye.txt" > "$RUNNER_TEMP/eye.ou
 test "$code" -eq 1
 test "$(head -1 "$RUNNER_TEMP/eye.out")" = "inertia 0 0 4"
 test "$(tail -1 "$RUNNER_TEMP/eye.out")" = "FAIL"
+# finite inputs near the float limit: one error line and no numpy warning on stderr
+printf '2 1 2\n1e308 0\n0 1e308\n' > "$RUNNER_TEMP/ovf_trace.txt"
+code=0; ptinertia verify-ew --file "$RUNNER_TEMP/ovf_trace.txt" 2> "$RUNNER_TEMP/ovf_trace.err" || code=$?
+test "$code" -eq 2
+test "$(wc -l < "$RUNNER_TEMP/ovf_trace.err")" -eq 1
+printf '2 0 0\n1e308 1e308\n1e308 1e308\n' > "$RUNNER_TEMP/ovf_eig.txt"
+code=0; ptinertia inertia --file "$RUNNER_TEMP/ovf_eig.txt" 2> "$RUNNER_TEMP/ovf_eig.err" || code=$?
+test "$code" -eq 2
+test "$(wc -l < "$RUNNER_TEMP/ovf_eig.err")" -eq 1
+ptinertia schmidt --ket '1e308|0,0>+1e308|1,1>' --dims 2 2 2> "$RUNNER_TEMP/ovf_ket.err"
+test ! -s "$RUNNER_TEMP/ovf_ket.err"

@@ -30,8 +30,6 @@ from .states import State, dm_from_kets, ket_vector, pt_array
 
 Terms = list[tuple[object, list[tuple[object, int, int]]]]
 
-_REGIME_EPS = 1e-12
-
 PHI2 = [(1, 0, 0), (1, 1, 1)]
 PHI3 = [(1, 0, 0), (1, 1, 1), (1, 2, 2)]
 
@@ -95,18 +93,18 @@ def _const(triple) -> Callable[[dict], Inertia]:
 
 
 def _iva_expected(params: dict) -> Inertia:
-    a, b = complex(params["a"]), complex(params["b"])
-    disc = abs(b) ** 2 - abs(a * b.conjugate() - a.conjugate()) ** 2 - 1
-    if disc < -_REGIME_EPS:
+    a, b = _exact(params["a"]), _exact(params["b"])
+    disc = b.abs2() - (a * b.conjugate() - a.conjugate()).abs2() - 1
+    if disc < 0:
         return Inertia(3, 0, 6)
-    if disc > _REGIME_EPS:
+    if disc > 0:
         return Inertia(2, 0, 7)
     return Inertia(2, 1, 6)
 
 
 def _ivc_expected(params: dict) -> Inertia:
-    a, e = complex(params["a"]), complex(params["e"])
-    if abs(1 + a * e.conjugate()) <= _REGIME_EPS:
+    a, e = _exact(params["a"]), _exact(params["e"])
+    if not 1 + a * e.conjugate():
         return Inertia(2, 2, 5)
     return Inertia(3, 0, 6)
 
@@ -142,7 +140,7 @@ _register(CatalogEntry(
     terms=lambda p: [(1, PHI3), (1, [(p["a"], 0, 0), (p["b"], 0, 1)])],
     expected=_const((3, 0, 6)),
     notes="rank-3 plus rank-1 mixture; six constant PT eigenvalues -1,-1,1,1,1,1 "
-          "plus the roots of a cubic (see ex11_closed_form).",
+          "plus the roots of a cubic (see ex11_closed_form in tests/reference.py).",
 ))
 
 _register(CatalogEntry(
@@ -510,29 +508,6 @@ def verify(entry_id: str, tol_zero: float = TOL_ZERO, **overrides) -> VerifyResu
 
 def verify_all(tol_zero: float = TOL_ZERO) -> list[VerifyResult]:
     return [verify(entry_id, tol_zero) for entry_id in entry_ids()]
-
-
-def ex11_closed_form(a: complex, b: complex) -> np.ndarray:
-    """Closed-form PT spectrum of the ex11 family, ascending.
-
-    Six constant eigenvalues -1,-1,1,1,1,1 together with the three real roots
-    of  x^3 + (-1-|a|^2-|b|^2) x^2 + (-1+|b|^2) x + (1+|a|^2),  computed by a
-    cubic solver.  The Vieta identities (root sum 1+|a|^2+|b|^2, root product
-    -1-|a|^2) are asserted to 1e-10 as a sanity check.
-    """
-    aa = abs(complex(a)) ** 2
-    bb = abs(complex(b)) ** 2
-    coeffs = [1.0, -1.0 - aa - bb, -1.0 + bb, 1.0 + aa]
-    roots = np.roots(coeffs)
-    if np.abs(roots.imag).max() > 1e-9 * max(1.0, np.abs(roots).max()):
-        raise RuntimeError(f"cubic produced non-real roots: {roots}")
-    roots = np.sort(roots.real)
-    scale = max(1.0, np.abs(roots).max())
-    if abs(roots.sum() - (1.0 + aa + bb)) > 1e-10 * scale:
-        raise RuntimeError("cubic root sum violates the Vieta identity")
-    if abs(np.prod(roots) + 1.0 + aa) > 1e-10 * scale ** 3:
-        raise RuntimeError("cubic root product violates the Vieta identity")
-    return np.sort(np.concatenate([[-1.0, -1.0, 1.0, 1.0, 1.0, 1.0], roots]))
 
 
 def chain_seed(n: int, k: int) -> State:

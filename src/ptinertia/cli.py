@@ -188,13 +188,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    records = search.load_records(args.log)
-    if not records:
-        raise ValueError("results log is empty")
-    if not -len(records) <= args.record < len(records):
-        raise ValueError(f"record index {args.record} out of range for "
-                         f"{len(records)} record(s)")
-    record = records[args.record]
+    record = search.load_record(args.log, args.record)
     try:
         state = search.replay(record, args.alarm)
     except IndexError as exc:

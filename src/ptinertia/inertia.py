@@ -1,8 +1,6 @@
-"""Inertia analysis of partial transposes: classification and transforms."""
+"""Inertia of a Hermitian matrix and of a partial transpose, and the embed lift."""
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,47 +26,6 @@ def inertia_of(mat: np.ndarray, tol_zero: float = TOL_ZERO, *,
 def pt_inertia(state: State, tol_zero: float = TOL_ZERO, *, with_flag: bool = False):
     """Inertia of the partial transpose of a state."""
     return inertia_of(partial_transpose(state), tol_zero, with_flag=with_flag)
-
-
-def negativity(state: State, tol_zero: float = TOL_ZERO) -> float:
-    """Sum of |lambda| over negative eigenvalues of the PT, at unit trace."""
-    gamma = partial_transpose(state.normalized())
-    vals = herm_eig(gamma).values
-    return float(-vals[vals < -zero_band(vals, tol_zero)].sum())
-
-
-class PptVerdict(NamedTuple):
-    label: str  # "NPT" or "PPT"
-    marginal: bool
-
-
-def classify_ppt(state: State, tol_zero: float = TOL_ZERO) -> PptVerdict:
-    """NPT iff the partial transpose has at least one negative eigenvalue."""
-    ine, marginal = pt_inertia(state, tol_zero, with_flag=True)
-    return PptVerdict("NPT" if ine.neg >= 1 else "PPT", marginal)
-
-
-def pure_inertia(r: int, m: int, n: int) -> Inertia:
-    """PT inertia of a pure state with Schmidt rank r on dims (m, n)."""
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"Schmidt rank {r} out of range for dims ({m},{n})")
-    return Inertia((r * r - r) // 2, m * n - r * r, (r * r + r) // 2)
-
-
-def shift_identity(state: State, tol_zero: float = TOL_ZERO) -> tuple[State, float]:
-    """Add x*I to lift all PT zeros: (a,b,c) becomes (a,0,b+c).
-
-    x is half the magnitude of the PT eigenvalue closest to zero from below,
-    strictly inside (0, min|negative eigenvalue|), so negatives stay negative
-    while zeros move up.  Requires an NPT input; the shifted state stays PSD
-    and NPT.
-    """
-    vals = herm_eig(partial_transpose(state)).values
-    negs = vals[vals < -zero_band(vals, tol_zero)]
-    if negs.size == 0:
-        raise ValueError("shift_identity requires an NPT state (no negative PT eigenvalue)")
-    x = 0.5 * float(np.abs(negs).min())
-    return State(state.m, state.n, state.mat + x * np.eye(state.dim)), x
 
 
 def embed(state: State, m2: int, n2: int, lift: int, *,
@@ -125,58 +82,3 @@ def embed(state: State, m2: int, n2: int, lift: int, *,
     if got != expected or marginal:
         raise RuntimeError(f"embed missed {expected}: got {got}, marginal={marginal}")
     return out
-
-
-class UpdateOutcome(NamedTuple):
-    case: int  # 1, 2, or 3
-    inertia: Inertia
-    rank_p: int
-    rank_q: int
-
-
-def rank_one_update_check(state: State, a_vec: np.ndarray, b_vec: np.ndarray,
-                          tol_zero: float = TOL_ZERO) -> UpdateOutcome:
-    """Check the rank-one-update trichotomy for PT plus a product projector.
-
-    Writes the PT as P - Q (orthogonal positive/negative parts with ranks
-    p, q read off the spectrum at tol_zero) and requires |a,b> to lie in the
-    range of the PT, to a relative residual of 1e-8.  Adding |a,b><a,b| must
-    land on one of three triples, with d the total dimension:
-
-        case 1: (q,     d - p - q,     p)
-        case 2: (q - 1, d - p - q,     p + 1)
-        case 3: (q - 1, d + 1 - p - q, p)
-
-    Returns which case occurred; anything else raises, since it would
-    falsify the trichotomy.
-    """
-    gamma = partial_transpose(state)
-    dec = herm_eig(gamma)
-    d = gamma.shape[0]
-    tau = zero_band(dec.values, tol_zero)
-    rank_p = int((dec.values > tau).sum())
-    rank_q = int((dec.values < -tau).sum())
-
-    ab = np.kron(np.asarray(a_vec, dtype=complex), np.asarray(b_vec, dtype=complex))
-    norm = np.linalg.norm(ab)
-    if norm == 0:
-        raise ValueError("product vector must be nonzero")
-    support = dec.vectors[:, np.abs(dec.values) > tau]
-    resid = np.linalg.norm(ab - support @ (support.conj().T @ ab)) / norm
-    if resid > 1e-8:
-        raise ValueError(
-            f"|a,b> is not in the range of the partial transpose (residual {resid:.3e})"
-        )
-
-    got = inertia_of(gamma + np.outer(ab, ab.conj()), tol_zero)
-    cases = {
-        1: Inertia(rank_q, d - rank_p - rank_q, rank_p),
-        2: Inertia(rank_q - 1, d - rank_p - rank_q, rank_p + 1),
-        3: Inertia(rank_q - 1, d + 1 - rank_p - rank_q, rank_p),
-    }
-    for case, triple in cases.items():
-        if got == triple:
-            return UpdateOutcome(case, got, rank_p, rank_q)
-    raise AssertionError(
-        f"rank-one update produced {got}, outside the trichotomy {list(cases.values())}"
-    )

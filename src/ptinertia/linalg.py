@@ -114,11 +114,14 @@ def herm_eig(mat: np.ndarray) -> EigenDecomposition:
         values, vectors = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    adjoint = vectors.conj().swapaxes(-2, -1)
-    recon = (vectors * values[..., None, :]) @ adjoint
-    resid = max_abs(np.subtract(mat, recon, out=recon))
-    gram = adjoint @ vectors
-    ortho = max_abs(np.subtract(gram, np.eye(mat.shape[-1]), out=gram))
+    # a finite matrix near the float limit can have an infinite eigenvalue;
+    # its NaN residual fails the check below instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        adjoint = vectors.conj().swapaxes(-2, -1)
+        recon = (vectors * values[..., None, :]) @ adjoint
+        resid = max_abs(np.subtract(mat, recon, out=recon))
+        gram = adjoint @ vectors
+        ortho = max_abs(np.subtract(gram, np.eye(mat.shape[-1]), out=gram))
     at = _first_failure((resid <= TOL_RESID * unit) & (ortho <= TOL_RESID))
     if at is not None:
         raise RuntimeError(

@@ -345,17 +345,39 @@ def append_record(path, record: SearchRecord) -> None:
         fh.write(record.to_json_line() + "\n")
 
 
+def _record_lines(path) -> list[tuple[int, bytes]]:
+    """(line number, bytes) of each line of a results log that is not blank.
+
+    A line that is not UTF-8 counts as not blank, so parsing it raises.
+    """
+    with open(path, "rb") as fh:
+        # bytes.splitlines breaks at \n, \r and \r\n, as text mode reads lines
+        lines = fh.read().splitlines()
+    return [(lineno, raw) for lineno, raw in enumerate(lines, 1)
+            if raw.decode("utf-8", "replace").strip()]
+
+
+def _parse_line(path, lineno: int, raw: bytes) -> SearchRecord:
+    try:
+        return SearchRecord.from_json_line(raw.decode("utf-8").strip())
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {lineno}: {exc}") from exc
+
+
 def load_records(path) -> list[SearchRecord]:
     """Every record of a results log; a malformed line, a byte that is not
     UTF-8 included, raises ValueError naming the path and the line."""
-    out = []
-    with open(path, "rb") as fh:
-        # bytes.splitlines breaks at \n, \r and \r\n, as text mode reads lines
-        for lineno, raw in enumerate(fh.read().splitlines(), 1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if line:
-                    out.append(SearchRecord.from_json_line(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from exc
-    return out
+    return [_parse_line(path, lineno, raw) for lineno, raw in _record_lines(path)]
+
+
+def load_record(path, index: int) -> SearchRecord:
+    """Record `index` of a results log (negative counts from the end), parsed
+    alone: the other lines are not read as records.  An empty log, an index
+    out of range, or a malformed selected line raises ValueError, the last
+    naming the path and the line."""
+    lines = _record_lines(path)
+    if not lines:
+        raise ValueError("results log is empty")
+    if not -len(lines) <= index < len(lines):
+        raise ValueError(f"record index {index} out of range for {len(lines)} record(s)")
+    return _parse_line(path, *lines[index])

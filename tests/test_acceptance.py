@@ -16,12 +16,13 @@ import pytest
 from ptinertia import (Inertia, SearchConfig, build, dm_from_kets, embed,
                        herm_eig, is_witness, lemma3n_family,
                        min_product_expectation, partial_transpose, pt_inertia,
-                       pure_inertia, random_state, rank_one_update_check,
-                       run_search, shift_identity, verify)
-from ptinertia.catalog import entry_ids, ex11_closed_form
+                       random_state, run_search, verify)
+from ptinertia.catalog import entry_ids
 from ptinertia.exact import GaussianRational
 
 from conftest import random_pure_slocc
+from reference import (ex11_closed_form, pure_inertia, rank_one_update_check,
+                       shift_identity)
 
 TOL = 1e-9
 

@@ -11,11 +11,12 @@ from ptinertia import (Inertia, build, build_exact, chain_seed, herm_eig,
                        ket_vector, lemma3n_family, partial_transpose, pt_array,
                        pt_inertia, schmidt, verify, verify_all)
 from ptinertia.catalog import (_REGISTRY, CatalogEntry, _merge_params,
-                               entry_ids, ex11_closed_form, expected_inertia, get_entry)
+                               entry_ids, expected_inertia, get_entry)
 from ptinertia.cli import main
 from ptinertia.exact import ExactMatrix, GaussianRational, exact_inertia
 
 from conftest import exact_cells, local_ranks
+from reference import ex11_closed_form
 
 THIRTEEN = {
     (1, 0, 8), (1, 1, 7), (1, 2, 6), (1, 3, 5), (1, 4, 4), (1, 5, 3),
@@ -135,6 +136,18 @@ def test_ivc_branch_rule():
     branch = verify("npt2_ivc", a=1, b=1, e=-1)  # 1 + a e* = 0
     assert branch.passed and branch.float_inertia == Inertia(2, 2, 5)
     assert branch.exact_inertia == Inertia(2, 2, 5)
+
+
+def test_ivc_branch_rule_is_decided_exactly():
+    # 1 + a e* = 2^-45 is not 0, so the branch is the generic one; floats see (2,2,5)
+    result = verify("npt2_ivc", a=Fraction(-1) + Fraction(1, 2 ** 45), e=1)
+    assert result.expected == result.exact_inertia == Inertia(3, 0, 6)
+
+
+def test_iva_regime_is_decided_exactly():
+    # D = (1 + 2^-45)^2 - 1 > 0, and D = 0 only exactly on its surface
+    assert expected_inertia("npt2_iva", a=0, b=1 + Fraction(1, 2 ** 45)) == Inertia(2, 0, 7)
+    assert expected_inertia("npt2_iva", a=0, b=1) == Inertia(2, 1, 6)
 
 
 def test_boundary_witness_is_exactly_singular():

@@ -176,6 +176,8 @@ def test_schmidt_command(capsys):
     ("2.5E+2|0,0> + 1|1,1>", "coefficients 250 1"),
     ("1|0,0> - 1e-3|1,1>", "coefficients 1 0.001"),
     ("1|0,0> + 1e-3j|1,1>", "coefficients 1 0.001"),
+    # numpy's norm of this ket overflows; it must not warn on stderr
+    ("1e308|0,0>+1e308|1,1>", "coefficients 1e+308 1e+308"),
 ])
 def test_schmidt_reads_a_coefficient_with_a_signed_exponent(capsys, ket, coefficients):
     code, out, err = run(capsys, "schmidt", "--ket", ket, "--dims", "2", "2")
@@ -208,7 +210,11 @@ BELL_E12 = "4 2 2\n" + "".join(
     # the verdict is the trace-normalized state's, whatever the file's scale
     (BELL_E12, ["verify-ew", "--file", "{file}"], 0,
      "inertia 1 0 3\ncertified exact\nPASS\n", ""),
-], ids=["alarm-pair", "search-dims-0", "marginal", "zero-state", "bell-1e-12"])
+    # finite entries whose trace is inf: 1/inf would zero the state
+    ("2 1 2\n1e308 0\n0 1e308\n", ["verify-ew", "--file", "{file}"], 2, "",
+     "error: state trace overflows the float range\n"),
+], ids=["alarm-pair", "search-dims-0", "marginal", "zero-state", "bell-1e-12",
+        "trace-overflow"])
 def test_a_command_prints_its_pinned_text(tmp_path, capsys, monkeypatch, text, argv, code,
                                           out, err):
     monkeypatch.delenv("PTINERTIA_TOL_ZERO", raising=False)
@@ -716,3 +722,26 @@ def test_verify_ew_makes_one_eigendecomposition(tmp_path, capsys, monkeypatch, t
     monkeypatch.setattr(np.linalg, "eigh", counted)
     assert run(capsys, "verify-ew", "--file", str(path))[:2] == (code, out)
     assert len(calls) == 1
+
+
+def test_an_infinite_eigenvalue_exits_2_with_one_error_line(tmp_path, capsys):
+    # finite entries, eigenvalue 2e308; the defect that ends the line is LAPACK's rounding
+    path = tmp_path / "m.txt"
+    path.write_text("2 0 0\n1e308 1e308\n1e308 1e308\n")
+    code, out, err = run(capsys, "inertia", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: eigendecomposition failed validation: residual=nan, ")
+    assert err.count("\n") == 1
+
+
+def test_replay_parses_only_the_record_it_replays(search_logs, capsys):
+    log = search_logs / "runs.log"
+    good = log.read_text()
+    log.write_text("{\n\n" + good)
+    assert run(capsys, "replay", "--log", str(log)) == (
+        0, "replayed 3 0 6 recorded 3 0 6\n", "")
+    code, out, err = run(capsys, "replay", "--log", str(log), "--record", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {log}, line 1: ") and err.count("\n") == 1
+    assert run(capsys, "replay", "--log", str(log), "--record", "-3") == (
+        2, "", "error: record index -3 out of range for 2 record(s)\n")

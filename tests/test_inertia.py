@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from ptinertia import (Inertia, State, build, classify_ppt, dm_from_kets,
-                       embed, inertia_of, ket_vector, negativity,
-                       partial_transpose, pt_inertia, pure_inertia,
-                       random_state, rank_one_update_check, shift_identity)
-from ptinertia.catalog import entry_ids, ex11_closed_form
+from ptinertia import (Inertia, State, build, dm_from_kets, embed, inertia_of,
+                       ket_vector, partial_transpose, pt_inertia, random_state)
+from ptinertia.catalog import entry_ids
 
 from conftest import random_pure_slocc
+from reference import (classify_ppt, ex11_closed_form, negativity, pure_inertia,
+                       rank_one_update_check, shift_identity)
 
 
 def bell(m, n, r=2):

@@ -7,17 +7,6 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "ptinertia").glob("*.py") if p.name != "__init__.py")
 CALLERS = MODULES + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
-# public reference functions that no command reaches, each kept for a stated reason
-ALLOWED = {
-    "ex11_closed_form",  # acceptance criterion 2, the closed-form grid
-    "pure_inertia",  # acceptance criterion 3, the pure-state formula
-    "shift_identity",  # acceptance criterion 5, the shift and embed transforms
-    "rank_one_update_check",  # acceptance criterion 9, the rank-one update trichotomy
-    "negativity",  # shown in the README quick tour
-    "classify_ppt",  # shown in the README quick tour
-    "validate_state",  # the tests' reference state check
-}
-
 
 def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -34,7 +23,7 @@ def test_every_src_definition_is_named_outside_tests():
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
     unreached = sorted(f"{module}: {name}" for name, module in defined.items()
-                       if name not in named and name not in ALLOWED)
+                       if name not in named)
     assert unreached == []
 
 

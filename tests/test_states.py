@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ptinertia import (State, build, dm_from_kets, inertia_of, ket_vector,
-                       partial_transpose, pt_array, random_state, schmidt,
-                       validate_state)
+                       partial_transpose, pt_array, random_state, schmidt)
 
 from conftest import (congruence, local_ranks, random_hermitian, random_invertible,
                       random_pure_slocc)
+from reference import validate_state
 
 
 def bell(m, n, r=2):
@@ -286,3 +286,9 @@ def test_state_makes_a_list_or_float_matrix_complex():
         assert np.array_equal(st.mat, want)
     with pytest.raises(ValueError, match="does not match dims"):
         State(2, 2, np.eye(3, dtype=complex))
+
+
+def test_normalized_refuses_a_trace_past_the_float_range():
+    # each entry is finite, but the diagonal sums to inf; 1/inf would zero the state
+    with pytest.raises(ValueError, match="state trace overflows the float range"):
+        State(1, 2, np.diag([1e308, 1e308])).normalized()
